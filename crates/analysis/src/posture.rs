@@ -8,7 +8,7 @@
 //! risk numbers (the paper is explicit that CVSS measures severity, not
 //! risk).
 
-use cpssec_attackdb::{AttackVectorId, Corpus, Severity};
+use cpssec_attackdb::{AttackVectorId, Corpus, RecordSeverity, Severity, SeverityTable};
 use cpssec_model::{Criticality, SystemModel};
 use cpssec_search::MatchSet;
 
@@ -60,12 +60,21 @@ impl SystemPosture {
     /// model.
     #[must_use]
     pub fn compute(model: &SystemModel, corpus: &Corpus, map: &AssociationMap) -> SystemPosture {
+        let severities = corpus.severities();
+        SystemPosture::compute_with(model, map, |set| severity_mass(set, severities))
+    }
+
+    fn compute_with(
+        model: &SystemModel,
+        map: &AssociationMap,
+        mass: impl Fn(&MatchSet) -> f64,
+    ) -> SystemPosture {
         let mut components = Vec::new();
         for (name, set) in map.iter() {
             let Some(component) = model.component_by_name(name) else {
                 continue;
             };
-            let severity_weighted = severity_mass(set, corpus);
+            let severity_weighted = mass(set);
             let (patterns, weaknesses, vulnerabilities) = set.counts();
             let score = severity_weighted * f64::from(component.criticality().weight());
             components.push(ComponentPosture {
@@ -108,19 +117,18 @@ fn severity_band_weight(severity: Severity) -> f64 {
     }
 }
 
-fn severity_mass(set: &MatchSet, corpus: &Corpus) -> f64 {
+/// Sums each hit's weight in hit order, so the float sum is the same on
+/// every path. Weaknesses and records without a severity figure weigh 0.5.
+fn severity_mass(set: &MatchSet, severities: &SeverityTable) -> f64 {
     let mut mass = 0.0;
     for hit in set.iter() {
         mass += match hit.id {
-            AttackVectorId::Vulnerability(id) => corpus
-                .vulnerability(id)
-                .and_then(|v| v.cvss())
-                .map_or(0.5, |c| c.base_score() / 10.0),
-            AttackVectorId::Pattern(id) => corpus
-                .pattern(id)
-                .and_then(|p| p.typical_severity())
-                .map_or(0.5, severity_band_weight),
             AttackVectorId::Weakness(_) => 0.5,
+            id => match severities.get(id) {
+                Some(RecordSeverity::Cvss(score)) => score / 10.0,
+                Some(RecordSeverity::Band(band)) => severity_band_weight(band),
+                None => 0.5,
+            },
         };
     }
     mass
@@ -130,9 +138,11 @@ fn severity_mass(set: &MatchSet, corpus: &Corpus) -> f64 {
 mod tests {
     use super::*;
     use cpssec_attackdb::seed::seed_corpus;
+    use cpssec_attackdb::synth;
     use cpssec_model::Fidelity;
     use cpssec_scada::model::{names, scada_model};
-    use cpssec_search::{FilterPipeline, SearchEngine};
+    use cpssec_scada::water::water_model;
+    use cpssec_search::{FilterPipeline, ScoringModel, SearchEngine};
 
     fn posture_at(level: Fidelity) -> SystemPosture {
         let corpus = seed_corpus();
@@ -140,6 +150,84 @@ mod tests {
         let model = scada_model();
         let map = AssociationMap::build(&model, &engine, &corpus, level, &FilterPipeline::new());
         SystemPosture::compute(&model, &corpus, &map)
+    }
+
+    /// The per-record lookup the severity table replaced, kept as the
+    /// reference the table must reproduce bit for bit.
+    fn reference_mass(set: &MatchSet, corpus: &Corpus) -> f64 {
+        let mut mass = 0.0;
+        for hit in set.iter() {
+            mass += match hit.id {
+                AttackVectorId::Vulnerability(id) => corpus
+                    .vulnerability(id)
+                    .and_then(|v| v.cvss())
+                    .map_or(0.5, |c| c.base_score() / 10.0),
+                AttackVectorId::Pattern(id) => corpus
+                    .pattern(id)
+                    .and_then(|p| p.typical_severity())
+                    .map_or(0.5, severity_band_weight),
+                AttackVectorId::Weakness(_) => 0.5,
+            };
+        }
+        mass
+    }
+
+    /// Asserts table-backed posture equals the reference bit for bit, for
+    /// both testbeds at every fidelity under both scorings.
+    fn assert_bit_identical(corpus: &Corpus, engine: &SearchEngine, label: &str) {
+        for scoring in [ScoringModel::TfIdf, ScoringModel::Bm25] {
+            let engine = engine.with_scoring(scoring);
+            for model in [scada_model(), water_model()] {
+                for level in Fidelity::ALL {
+                    let map = AssociationMap::build(
+                        &model,
+                        &engine,
+                        corpus,
+                        level,
+                        &FilterPipeline::new(),
+                    );
+                    let fast = SystemPosture::compute(&model, corpus, &map);
+                    let slow = SystemPosture::compute_with(&model, &map, |set| {
+                        reference_mass(set, corpus)
+                    });
+                    let at = format!("{label}/{scoring:?}/{}/{level:?}", model.name());
+                    assert_eq!(
+                        fast.total_score.to_bits(),
+                        slow.total_score.to_bits(),
+                        "{at}"
+                    );
+                    assert_eq!(fast.components.len(), slow.components.len(), "{at}");
+                    for (f, s) in fast.components.iter().zip(&slow.components) {
+                        assert_eq!(f.score.to_bits(), s.score.to_bits(), "{at}/{}", f.component);
+                        assert_eq!(
+                            f.severity_weighted.to_bits(),
+                            s.severity_weighted.to_bits(),
+                            "{at}/{}",
+                            f.component
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn table_posture_is_bit_identical_to_per_record_lookup() {
+        let mut corpus = synth::generate(&synth::SynthSpec::paper2020(2020, 0.05));
+        let mut engine = SearchEngine::build(&corpus);
+        assert_bit_identical(&corpus, &engine, "built");
+
+        // A clone starts without a table and rebuilds the same one.
+        assert_bit_identical(&corpus.clone(), &engine, "clone");
+
+        // A delta drops the table; the rebuilt one covers the new records.
+        let parent =
+            cpssec_search::snapshot::inspect(&cpssec_search::snapshot::encode(&corpus, &engine))
+                .expect("inspect")
+                .snapshot_id;
+        let delta = cpssec_search::build_delta(parent, &synth::delta_batch(5, 400, 0));
+        cpssec_search::apply_delta(&mut corpus, &mut engine, &delta, parent).expect("apply");
+        assert_bit_identical(&corpus, &engine, "delta");
     }
 
     #[test]

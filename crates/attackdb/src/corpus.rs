@@ -1,7 +1,10 @@
 //! The corpus: all three record families plus the cross-reference index.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
+use crate::severity::{SeverityCell, SeverityTable};
+use crate::RecordSeverity;
 use crate::{
     Abstraction, AttackDbError, AttackPattern, AttackVectorId, CapecId, CveId, CweId, Severity,
     Vulnerability, Weakness,
@@ -34,9 +37,10 @@ impl CorpusStats {
 /// their interconnections, as published by MITRE-style databases.
 ///
 /// Records are immutable once inserted; the cross-reference index is kept
-/// in sync on insert. Dangling cross-references are allowed at insert time
-/// (MITRE feeds have them too) and can be audited with
-/// [`Corpus::dangling_references`].
+/// in sync on insert, and the lazily built [`SeverityTable`] is dropped on
+/// insert (see [`Corpus::severities`]). Dangling cross-references are
+/// allowed at insert time (MITRE feeds have them too) and can be audited
+/// with [`Corpus::dangling_references`].
 ///
 /// # Examples
 ///
@@ -52,7 +56,7 @@ impl CorpusStats {
 /// assert_eq!(corpus.patterns_for_weakness(CweId::new(78)).len(), 1);
 /// # Ok::<(), cpssec_attackdb::AttackDbError>(())
 /// ```
-#[derive(Debug, Default, Clone, PartialEq)]
+#[derive(Default, Clone)]
 pub struct Corpus {
     patterns: BTreeMap<CapecId, AttackPattern>,
     weaknesses: BTreeMap<CweId, Weakness>,
@@ -60,6 +64,33 @@ pub struct Corpus {
     // Reverse links, maintained on insert.
     weakness_to_patterns: BTreeMap<CweId, Vec<CapecId>>,
     weakness_to_vulns: BTreeMap<CweId, Vec<CveId>>,
+    /// Built on first read, dropped on insert; a clone starts empty.
+    severities: SeverityCell,
+}
+
+// The severity table is derived from the records, so neither equality nor
+// `Debug` looks at it: a corpus compares and prints the same whether or
+// not the table has been built.
+impl PartialEq for Corpus {
+    fn eq(&self, other: &Self) -> bool {
+        self.patterns == other.patterns
+            && self.weaknesses == other.weaknesses
+            && self.vulnerabilities == other.vulnerabilities
+            && self.weakness_to_patterns == other.weakness_to_patterns
+            && self.weakness_to_vulns == other.weakness_to_vulns
+    }
+}
+
+impl fmt::Debug for Corpus {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Corpus")
+            .field("patterns", &self.patterns)
+            .field("weaknesses", &self.weaknesses)
+            .field("vulnerabilities", &self.vulnerabilities)
+            .field("weakness_to_patterns", &self.weakness_to_patterns)
+            .field("weakness_to_vulns", &self.weakness_to_vulns)
+            .finish()
+    }
 }
 
 impl Corpus {
@@ -85,6 +116,7 @@ impl Corpus {
             let position = entry.partition_point(|id| *id < pattern.id());
             entry.insert(position, pattern.id());
         }
+        self.severities.invalidate();
         self.patterns.insert(pattern.id(), pattern);
         Ok(())
     }
@@ -98,6 +130,7 @@ impl Corpus {
         if self.weaknesses.contains_key(&weakness.id()) {
             return Err(AttackDbError::DuplicateRecord(weakness.id().into()));
         }
+        self.severities.invalidate();
         self.weaknesses.insert(weakness.id(), weakness);
         Ok(())
     }
@@ -116,6 +149,7 @@ impl Corpus {
             let position = entry.partition_point(|id| *id < vuln.id());
             entry.insert(position, vuln.id());
         }
+        self.severities.invalidate();
         self.vulnerabilities.insert(vuln.id(), vuln);
         Ok(())
     }
@@ -212,11 +246,23 @@ impl Corpus {
     /// Vulnerabilities at or above a severity band, in id order.
     #[must_use]
     pub fn vulnerabilities_at_severity(&self, at_least: Severity) -> Vec<CveId> {
+        let severities = self.severities();
         self.vulnerabilities
-            .values()
-            .filter(|v| v.severity().is_some_and(|s| s >= at_least))
-            .map(Vulnerability::id)
+            .keys()
+            .copied()
+            .filter(|&id| match severities.get(id.into()) {
+                Some(RecordSeverity::Cvss(score)) => Severity::from_score(score) >= at_least,
+                _ => false,
+            })
             .collect()
+    }
+
+    /// The severity figure of every scored record, built on first use and
+    /// kept until the next insert. Posture scoring and the severity
+    /// filters read record severity only through this table.
+    #[must_use]
+    pub fn severities(&self) -> &SeverityTable {
+        self.severities.get_or_build(self)
     }
 
     /// Cross-references whose target record is missing from the corpus.
@@ -461,6 +507,60 @@ mod tests {
         c.add_weakness(Weakness::new(CweId::new(1), "w1 again", "d"))
             .unwrap();
         assert!(a.merge(c).is_err());
+    }
+
+    #[test]
+    fn equality_and_debug_ignore_the_severity_table() {
+        let built = small();
+        let fresh = small();
+        assert!(built
+            .severities()
+            .get(CveId::new(2018, 101).into())
+            .is_some());
+        assert!(built.severities.is_built());
+        assert!(!fresh.severities.is_built());
+        assert_eq!(built, fresh);
+        assert_eq!(format!("{built:?}"), format!("{fresh:?}"));
+        // A clone compares equal and starts without a table.
+        let clone = built.clone();
+        assert!(!clone.severities.is_built());
+        assert_eq!(clone, built);
+    }
+
+    #[test]
+    fn every_insert_drops_the_severity_table() {
+        let mut c = small();
+        let _ = c.severities();
+        c.add_weakness(Weakness::new(CweId::new(1), "w", "d"))
+            .unwrap();
+        assert!(!c.severities.is_built());
+        let _ = c.severities();
+        c.add_pattern(AttackPattern::new(
+            CapecId::new(1),
+            "p",
+            "d",
+            Abstraction::Meta,
+        ))
+        .unwrap();
+        assert!(!c.severities.is_built());
+        let _ = c.severities();
+        c.add_vulnerability(Vulnerability::new(CveId::new(2019, 1), "v"))
+            .unwrap();
+        assert!(!c.severities.is_built());
+        let _ = c.severities();
+        let mut batch = Corpus::new();
+        batch
+            .add_pattern(
+                AttackPattern::new(CapecId::new(2), "p", "d", Abstraction::Meta)
+                    .with_severity(Severity::Low),
+            )
+            .unwrap();
+        c.merge(batch).unwrap();
+        assert!(!c.severities.is_built());
+        assert_eq!(
+            c.severities().get(CapecId::new(2).into()),
+            Some(RecordSeverity::Band(Severity::Low))
+        );
     }
 
     #[test]

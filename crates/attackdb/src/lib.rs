@@ -32,6 +32,7 @@ pub mod json;
 pub mod jsonl;
 mod record;
 pub mod seed;
+mod severity;
 pub mod snapshot;
 pub mod synth;
 
@@ -43,3 +44,4 @@ pub use cvss::{
 pub use error::AttackDbError;
 pub use id::{AttackVectorId, CapecId, CveId, CweId, ParseIdError};
 pub use record::{Abstraction, AttackPattern, CpeName, Likelihood, Vulnerability, Weakness};
+pub use severity::{RecordSeverity, SeverityTable};

@@ -184,6 +184,12 @@ thread_local! {
 /// engine holds no reference to the corpus — record ids are the currency
 /// between the two.
 ///
+/// The three family indices sit behind one `Arc`, shared by every engine
+/// derived with [`SearchEngine::with_scoring`]: a server's TF-IDF and BM25
+/// engines hold one copy of the index between them. `Clone` copies the
+/// indices, so a clone can grow under [`crate::apply_delta`] while the
+/// original keeps serving.
+///
 /// # Examples
 ///
 /// ```
@@ -195,19 +201,35 @@ thread_local! {
 /// let hits = engine.match_text("NI cRIO 9063");
 /// assert_eq!(hits.vulnerabilities.len(), 3);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SearchEngine {
     config: MatchConfig,
+    families: Arc<Families>,
+    /// Lifetime query counter, shared across clones of this engine so the
+    /// incremental-association tests (and the server's metrics) can observe
+    /// exactly how many matcher runs an operation cost.
+    queries: Arc<AtomicU64>,
+}
+
+/// The three family indices, each with its doc-id → record-id table.
+#[derive(Debug, Clone)]
+struct Families {
     patterns: InvertedIndex,
     pattern_ids: Vec<CapecId>,
     weaknesses: InvertedIndex,
     weakness_ids: Vec<CweId>,
     vulnerabilities: InvertedIndex,
     vulnerability_ids: Vec<CveId>,
-    /// Lifetime query counter, shared across clones of this engine so the
-    /// incremental-association tests (and the server's metrics) can observe
-    /// exactly how many matcher runs an operation cost.
-    queries: Arc<AtomicU64>,
+}
+
+impl Clone for SearchEngine {
+    fn clone(&self) -> Self {
+        SearchEngine {
+            config: self.config,
+            families: Arc::new(Families::clone(&self.families)),
+            queries: Arc::clone(&self.queries),
+        }
+    }
 }
 
 /// Indexes one record family and pre-freezes its query-side image so the
@@ -231,11 +253,7 @@ impl SearchEngine {
     /// indices are independent, so they build on separate scoped threads.
     #[must_use]
     pub fn with_config(corpus: &Corpus, config: MatchConfig) -> Self {
-        let (
-            (patterns, pattern_ids),
-            (weaknesses, weakness_ids),
-            (vulnerabilities, vulnerability_ids),
-        ) = std::thread::scope(|s| {
+        let (patterns, weaknesses, vulnerabilities) = std::thread::scope(|s| {
             let patterns =
                 s.spawn(|| build_family(corpus.patterns().map(|p| (p.search_text(), p.id()))));
             let weaknesses =
@@ -248,16 +266,7 @@ impl SearchEngine {
                 vulnerabilities,
             )
         });
-        SearchEngine {
-            config,
-            patterns,
-            pattern_ids,
-            weaknesses,
-            weakness_ids,
-            vulnerabilities,
-            vulnerability_ids,
-            queries: Arc::new(AtomicU64::new(0)),
-        }
+        SearchEngine::from_parts(config, patterns, weaknesses, vulnerabilities)
     }
 
     /// Assembles an engine from pre-built (e.g. snapshot-thawed) parts.
@@ -269,12 +278,14 @@ impl SearchEngine {
     ) -> SearchEngine {
         SearchEngine {
             config,
-            patterns: patterns.0,
-            pattern_ids: patterns.1,
-            weaknesses: weaknesses.0,
-            weakness_ids: weaknesses.1,
-            vulnerabilities: vulnerabilities.0,
-            vulnerability_ids: vulnerabilities.1,
+            families: Arc::new(Families {
+                patterns: patterns.0,
+                pattern_ids: patterns.1,
+                weaknesses: weaknesses.0,
+                weakness_ids: weaknesses.1,
+                vulnerabilities: vulnerabilities.0,
+                vulnerability_ids: vulnerabilities.1,
+            }),
             queries: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -288,15 +299,17 @@ impl SearchEngine {
         (&InvertedIndex, &[CweId]),
         (&InvertedIndex, &[CveId]),
     ) {
+        let f = &*self.families;
         (
-            (&self.patterns, &self.pattern_ids),
-            (&self.weaknesses, &self.weakness_ids),
-            (&self.vulnerabilities, &self.vulnerability_ids),
+            (&f.patterns, &f.pattern_ids),
+            (&f.weaknesses, &f.weakness_ids),
+            (&f.vulnerabilities, &f.vulnerability_ids),
         )
     }
 
     /// Mutable access to the three family indices and id tables, for the
-    /// `.cpsdelta` apply path (append documents + ids in lockstep).
+    /// `.cpsdelta` apply path (append documents + ids in lockstep). Copies
+    /// the indices first if another engine shares them.
     #[allow(clippy::type_complexity)]
     pub(crate) fn parts_mut(
         &mut self,
@@ -305,23 +318,28 @@ impl SearchEngine {
         (&mut InvertedIndex, &mut Vec<CweId>),
         (&mut InvertedIndex, &mut Vec<CveId>),
     ) {
+        let f = Arc::make_mut(&mut self.families);
         (
-            (&mut self.patterns, &mut self.pattern_ids),
-            (&mut self.weaknesses, &mut self.weakness_ids),
-            (&mut self.vulnerabilities, &mut self.vulnerability_ids),
+            (&mut f.patterns, &mut f.pattern_ids),
+            (&mut f.weaknesses, &mut f.weakness_ids),
+            (&mut f.vulnerabilities, &mut f.vulnerability_ids),
         )
     }
 
-    /// A copy of this engine under a different scoring model. Both models'
-    /// weights are precomputed in every frozen index, so no text is
-    /// re-processed — this is how a server derives its BM25 engine from
-    /// one snapshot decode.
+    /// This engine under a different scoring model, sharing the same
+    /// indices (one `Arc` bump). Both models' weights are precomputed in
+    /// every frozen index, so no text is re-processed — this is how a
+    /// server derives its BM25 engine from one snapshot decode.
     #[must_use]
     pub fn with_scoring(&self, scoring: ScoringModel) -> SearchEngine {
-        let mut engine = self.clone();
-        engine.config.scoring = scoring;
-        engine.queries = Arc::new(AtomicU64::new(0));
-        engine
+        SearchEngine {
+            config: MatchConfig {
+                scoring,
+                ..self.config
+            },
+            families: Arc::clone(&self.families),
+            queries: Arc::new(AtomicU64::new(0)),
+        }
     }
 
     /// Number of queries this engine (and its clones) has run so far.
@@ -359,25 +377,21 @@ impl SearchEngine {
         scratch: &mut QueryScratch,
     ) -> MatchSet {
         let mut span = cpssec_obs::span!("score");
+        let f = &*self.families;
         let set = MatchSet {
-            patterns: run_family(&self.patterns, terms, extras, self.config, scratch, |doc| {
-                AttackVectorId::Pattern(self.pattern_ids[doc])
+            patterns: run_family(&f.patterns, terms, extras, self.config, scratch, |doc| {
+                AttackVectorId::Pattern(f.pattern_ids[doc])
             }),
-            weaknesses: run_family(
-                &self.weaknesses,
-                terms,
-                extras,
-                self.config,
-                scratch,
-                |doc| AttackVectorId::Weakness(self.weakness_ids[doc]),
-            ),
+            weaknesses: run_family(&f.weaknesses, terms, extras, self.config, scratch, |doc| {
+                AttackVectorId::Weakness(f.weakness_ids[doc])
+            }),
             vulnerabilities: run_family(
-                &self.vulnerabilities,
+                &f.vulnerabilities,
                 terms,
                 extras,
                 self.config,
                 scratch,
-                |doc| AttackVectorId::Vulnerability(self.vulnerability_ids[doc]),
+                |doc| AttackVectorId::Vulnerability(f.vulnerability_ids[doc]),
             ),
         };
         span.add_items(set.total() as u64);
@@ -732,6 +746,19 @@ mod tests {
         let _ = clone.match_text("Cisco ASA");
         assert_eq!(e.queries_run(), 2);
         assert_eq!(clone.queries_run(), 2);
+    }
+
+    #[test]
+    fn scoring_twins_share_one_index_and_clones_copy_it() {
+        let e = engine();
+        let bm25 = e.with_scoring(ScoringModel::Bm25);
+        assert!(Arc::ptr_eq(&e.families, &bm25.families));
+        assert!(!Arc::ptr_eq(&e.families, &e.clone().families));
+        // Growing a twin copies its index first; the other keeps its own.
+        let mut grown = e.with_scoring(ScoringModel::TfIdf);
+        let _ = grown.parts_mut();
+        assert!(!Arc::ptr_eq(&e.families, &grown.families));
+        assert!(Arc::ptr_eq(&e.families, &bm25.families));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! is implemented to manage these attack vectors" (§3). Filters compose into
 //! a [`FilterPipeline`] applied against a corpus snapshot.
 
-use cpssec_attackdb::{Abstraction, AttackVectorId, Corpus, Severity};
+use cpssec_attackdb::{Abstraction, AttackVectorId, Corpus, RecordSeverity, Severity};
 
 use crate::{Hit, MatchSet};
 
@@ -58,18 +58,13 @@ impl Filter {
                 set.vulnerabilities.truncate(*k);
             }
             Filter::SeverityAtLeast(band) => {
-                set.vulnerabilities.retain(|h| match h.id {
-                    AttackVectorId::Vulnerability(id) => corpus
-                        .vulnerability(id)
-                        .and_then(|v| v.severity())
-                        .is_some_and(|s| s >= *band),
+                let severities = corpus.severities();
+                set.vulnerabilities.retain(|h| match severities.get(h.id) {
+                    Some(RecordSeverity::Cvss(score)) => Severity::from_score(score) >= *band,
                     _ => false,
                 });
-                set.patterns.retain(|h| match h.id {
-                    AttackVectorId::Pattern(id) => corpus
-                        .pattern(id)
-                        .and_then(|p| p.typical_severity())
-                        .is_some_and(|s| s >= *band),
+                set.patterns.retain(|h| match severities.get(h.id) {
+                    Some(RecordSeverity::Band(s)) => s >= *band,
                     _ => false,
                 });
             }
@@ -82,14 +77,9 @@ impl Filter {
                 });
             }
             Filter::CvssRange { min, max } => {
-                set.vulnerabilities.retain(|h| match h.id {
-                    AttackVectorId::Vulnerability(id) => corpus
-                        .vulnerability(id)
-                        .and_then(|v| v.cvss())
-                        .is_some_and(|c| {
-                            let score = c.base_score();
-                            score >= *min && score <= *max
-                        }),
+                let severities = corpus.severities();
+                set.vulnerabilities.retain(|h| match severities.get(h.id) {
+                    Some(RecordSeverity::Cvss(score)) => score >= *min && score <= *max,
                     _ => false,
                 });
             }
@@ -207,6 +197,76 @@ mod tests {
             );
         }
         assert!(filtered.vulnerabilities.len() < set.vulnerabilities.len());
+    }
+
+    /// The per-record severity filters the table replaced: kept sets
+    /// must stay identical to these.
+    fn reference_severity_at_least(set: &MatchSet, corpus: &Corpus, band: Severity) -> MatchSet {
+        let mut out = set.clone();
+        out.vulnerabilities.retain(|h| match h.id {
+            AttackVectorId::Vulnerability(id) => corpus
+                .vulnerability(id)
+                .and_then(|v| v.severity())
+                .is_some_and(|s| s >= band),
+            _ => false,
+        });
+        out.patterns.retain(|h| match h.id {
+            AttackVectorId::Pattern(id) => corpus
+                .pattern(id)
+                .and_then(|p| p.typical_severity())
+                .is_some_and(|s| s >= band),
+            _ => false,
+        });
+        out
+    }
+
+    fn reference_cvss_range(set: &MatchSet, corpus: &Corpus, min: f64, max: f64) -> MatchSet {
+        let mut out = set.clone();
+        out.vulnerabilities.retain(|h| match h.id {
+            AttackVectorId::Vulnerability(id) => corpus
+                .vulnerability(id)
+                .and_then(|v| v.cvss())
+                .is_some_and(|c| c.base_score() >= min && c.base_score() <= max),
+            _ => false,
+        });
+        out
+    }
+
+    #[test]
+    fn severity_filters_keep_the_per_record_sets() {
+        let corpus = cpssec_attackdb::synth::generate(
+            &cpssec_attackdb::synth::SynthSpec::paper2020(2020, 0.05),
+        );
+        let engine = SearchEngine::build(&corpus);
+        let mut checked = 0;
+        for query in [
+            "Windows 7 SMB server",
+            "Cisco ASA firewall remote code execution",
+            "operating system command injection platform",
+            "Linux kernel real-time",
+        ] {
+            let set = engine.match_text(query);
+            for band in [
+                Severity::None,
+                Severity::Low,
+                Severity::Medium,
+                Severity::High,
+                Severity::Critical,
+            ] {
+                let fast = FilterPipeline::new()
+                    .then(Filter::SeverityAtLeast(band))
+                    .apply(&set, &corpus);
+                assert_eq!(fast, reference_severity_at_least(&set, &corpus, band));
+            }
+            for (min, max) in [(0.0, 10.0), (7.0, 8.9), (9.8, 9.8), (0.0, 6.9), (5.0, 4.0)] {
+                let fast = FilterPipeline::new()
+                    .then(Filter::CvssRange { min, max })
+                    .apply(&set, &corpus);
+                assert_eq!(fast, reference_cvss_range(&set, &corpus, min, max));
+            }
+            checked += set.patterns.len() + set.vulnerabilities.len();
+        }
+        assert!(checked > 100, "only {checked} hits exercised");
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //!
 //! * a **session store** of named models (upload GraphML, or use the
 //!   built-in `scada` demonstration model) — [`session`];
-//! * a **content-addressed result cache** keyed by model content hash +
-//!   fidelity + scoring + canonical filter spec — [`cache`]; identical
-//!   requests are served from memory, and a model edit changes the hash
-//!   so stale entries are simply never hit;
+//! * a **content-addressed result cache** keyed by corpus generation +
+//!   model content hash + fidelity + scoring + canonical filter spec —
+//!   [`cache`]; identical requests are served from memory, and a model
+//!   edit or a corpus delta changes the key so stale entries are simply
+//!   never hit;
 //! * **incremental what-if**: the baseline association is cached as the
 //!   *prior* and [`cpssec_analysis::AssociationMap::rebuild`] re-queries
 //!   only components whose query text actually changed.
@@ -61,19 +62,46 @@ use session::SessionStore;
 /// One immutable generation of queryable corpus state. Delta applies and
 /// compactions build the *next* generation off-lock and swap it in;
 /// in-flight queries keep whatever `Arc` clones they already took, so a
-/// swap never invalidates a running request.
+/// swap never invalidates a running request. A request takes one
+/// generation ([`AppState::store`]) and reads corpus, engine and
+/// `state_id` from it, so it never mixes two.
 #[derive(Debug, Clone)]
-struct CorpusStore {
-    corpus: Arc<Corpus>,
+pub(crate) struct CorpusStore {
+    pub(crate) corpus: Arc<Corpus>,
     tfidf: Arc<SearchEngine>,
     bm25: Arc<SearchEngine>,
     /// Chain anchor: the snapshot id this state would encode to. Every
     /// delta must name it as parent; each apply advances it to the
     /// delta's `child_id`, and a compaction re-anchors it to the
     /// compacted base snapshot's id.
-    state_id: u64,
+    pub(crate) state_id: u64,
     /// Deltas applied since the last compaction (or boot).
     deltas_since_compaction: u32,
+}
+
+impl CorpusStore {
+    /// A generation over `corpus` and its TF-IDF engine; the BM25 engine
+    /// shares the TF-IDF engine's index. Builds the corpus's severity
+    /// table so no reader pays for it.
+    fn new(corpus: Corpus, tfidf: SearchEngine, state_id: u64, deltas: u32) -> CorpusStore {
+        let _ = corpus.severities();
+        let bm25 = tfidf.with_scoring(ScoringModel::Bm25);
+        CorpusStore {
+            corpus: Arc::new(corpus),
+            tfidf: Arc::new(tfidf),
+            bm25: Arc::new(bm25),
+            state_id,
+            deltas_since_compaction: deltas,
+        }
+    }
+
+    /// The engine for a scoring model.
+    pub(crate) fn engine(&self, scoring: ScoringModel) -> &Arc<SearchEngine> {
+        match scoring {
+            ScoringModel::TfIdf => &self.tfidf,
+            ScoringModel::Bm25 => &self.bm25,
+        }
+    }
 }
 
 /// The swappable slot holding the current [`CorpusStore`]. `None` while a
@@ -111,6 +139,9 @@ impl StoreSlot {
 pub struct AppState {
     /// The current corpus + engines generation (swapped by delta applies).
     store: StoreSlot,
+    /// Serialises delta writers, which build the next generation outside
+    /// the slot lock.
+    writer: Mutex<()>,
     /// Named models.
     pub sessions: SessionStore,
     /// Rendered response bodies, content-addressed.
@@ -202,30 +233,14 @@ impl AppState {
     #[must_use]
     pub fn with_capacities(corpus: Corpus, responses: usize, priors: usize) -> Arc<AppState> {
         let started = Instant::now();
-        let engine_of = |scoring| {
-            Arc::new(SearchEngine::with_config(
-                &corpus,
-                MatchConfig {
-                    scoring,
-                    ..MatchConfig::default()
-                },
-            ))
-        };
-        let tfidf = engine_of(ScoringModel::TfIdf);
-        let bm25 = engine_of(ScoringModel::Bm25);
+        let tfidf = SearchEngine::with_config(&corpus, MatchConfig::default());
         let state_id = content_state_id(&corpus, &tfidf);
+        let store = CorpusStore::new(corpus, tfidf, state_id, 0);
         let startup = StartupStats {
             index_load_us: elapsed_us(started),
             snapshot_hits: 0,
             snapshot_misses: 1,
             snapshot_load_us: 0,
-        };
-        let store = CorpusStore {
-            corpus: Arc::new(corpus),
-            tfidf,
-            bm25,
-            state_id,
-            deltas_since_compaction: 0,
         };
         Self::assemble(Some(store), startup, responses, priors)
     }
@@ -240,21 +255,14 @@ impl AppState {
     pub fn from_snapshot(bytes: &[u8]) -> Result<Arc<AppState>, SnapshotError> {
         let started = Instant::now();
         let state_id = snapshot::inspect(bytes)?.snapshot_id;
-        let (corpus, engine_tfidf) = snapshot::decode(bytes)?;
-        let engine_bm25 = engine_tfidf.with_scoring(ScoringModel::Bm25);
+        let (corpus, tfidf) = snapshot::decode(bytes)?;
+        let store = CorpusStore::new(corpus, tfidf, state_id, 0);
         let load_us = elapsed_us(started);
         let startup = StartupStats {
             index_load_us: load_us,
             snapshot_hits: 1,
             snapshot_misses: 0,
             snapshot_load_us: load_us,
-        };
-        let store = CorpusStore {
-            corpus: Arc::new(corpus),
-            tfidf: Arc::new(engine_tfidf),
-            bm25: Arc::new(engine_bm25),
-            state_id,
-            deltas_since_compaction: 0,
         };
         Ok(Self::assemble(Some(store), startup, 256, 64))
     }
@@ -301,14 +309,9 @@ impl AppState {
                     eprintln!("fatal: snapshot thaw failed after verification: {e}");
                     std::process::exit(1);
                 });
-                let bm25 = tfidf.with_scoring(ScoringModel::Bm25);
-                thaw_state.store.install(CorpusStore {
-                    corpus: Arc::new(corpus),
-                    tfidf: Arc::new(tfidf),
-                    bm25: Arc::new(bm25),
-                    state_id: snapshot_id,
-                    deltas_since_compaction: 0,
-                });
+                thaw_state
+                    .store
+                    .install(CorpusStore::new(corpus, tfidf, snapshot_id, 0));
                 thaw_state
                     .startup
                     .lock()
@@ -331,6 +334,7 @@ impl AppState {
                 slot: Mutex::new(store),
                 ready: Condvar::new(),
             },
+            writer: Mutex::new(()),
             sessions: SessionStore::new(),
             responses: Cache::new(responses),
             priors: Cache::new(priors),
@@ -355,6 +359,13 @@ impl AppState {
         state
     }
 
+    /// The current generation: corpus, engines and chain anchor taken
+    /// together under one lock. Blocks during a mapped boot until the
+    /// background thaw installs the owned state.
+    pub(crate) fn store(&self) -> CorpusStore {
+        self.store.wait()
+    }
+
     /// The shared corpus (current generation). Blocks during a mapped
     /// boot until the background thaw installs the owned state.
     #[must_use]
@@ -366,11 +377,7 @@ impl AppState {
     /// blocks like [`AppState::corpus`].
     #[must_use]
     pub fn engine(&self, scoring: ScoringModel) -> Arc<SearchEngine> {
-        let store = self.store.wait();
-        match scoring {
-            ScoringModel::TfIdf => store.tfidf,
-            ScoringModel::Bm25 => store.bm25,
-        }
+        Arc::clone(self.store.wait().engine(scoring))
     }
 
     /// The current chain anchor: the snapshot id the installed state
@@ -387,13 +394,16 @@ impl AppState {
     }
 
     /// Applies a `.cpsdelta` batch to the current generation and swaps
-    /// the grown state in. The store lock is held for the whole apply so
-    /// concurrent deltas serialize; queries only clone `Arc`s under that
-    /// lock, so they stall briefly rather than observe a half-applied
-    /// state. Every [`COMPACTION_EVERY`]-th apply also rebases: the
-    /// grown state is proven byte-identical to a rebuild-from-scratch
-    /// before the new anchor is adopted. Both result caches are cleared
-    /// on success — their keys do not encode corpus content.
+    /// the grown state in. Writers serialise on their own mutex and build
+    /// the next generation outside the store lock, which is held only to
+    /// read the current generation and to swap in the next, so queries
+    /// never wait behind an apply or a compaction. Every
+    /// [`COMPACTION_EVERY`]-th apply also rebases: the grown state is
+    /// proven byte-identical to a rebuild-from-scratch before the new
+    /// anchor is adopted. Both result caches are cleared on success;
+    /// their keys carry the generation's `state_id`, so an answer a
+    /// request computed on the old generation is never served for the new
+    /// one, even when it lands after the clear.
     ///
     /// # Errors
     ///
@@ -401,51 +411,49 @@ impl AppState {
     /// router maps that one to 409), an append-only id violation, or a
     /// compaction divergence. On error the installed state is untouched.
     pub fn apply_corpus_delta(&self, bytes: &[u8]) -> Result<DeltaOutcome, SnapshotError> {
-        let mut slot = self.store.slot.lock().expect("corpus store poisoned");
-        while slot.is_none() {
-            slot = self.store.ready.wait(slot).expect("corpus store poisoned");
-        }
-        let current = slot.as_ref().expect("store installed").clone();
-        // Grow clones; the installed state stays valid if anything fails.
+        // The lock guards no data, so a writer that panicked leaves
+        // nothing to repair.
+        let _writer = self
+            .writer
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        // Only writers install generations after boot, so `current` stays
+        // installed until this writer swaps in its successor.
+        let current = self.store.wait();
+        // Grow copies; the installed state stays valid if anything fails.
+        // Cloning the engine copies its index here, before the apply.
         let mut corpus = (*current.corpus).clone();
         let mut tfidf = (*current.tfidf).clone();
         let info = cpssec_search::apply_delta(&mut corpus, &mut tfidf, bytes, current.state_id)?;
-        let bm25 = tfidf.with_scoring(ScoringModel::Bm25);
-        let mut next = CorpusStore {
-            corpus: Arc::new(corpus),
-            tfidf: Arc::new(tfidf),
-            bm25: Arc::new(bm25),
-            state_id: info.child_id,
-            deltas_since_compaction: current.deltas_since_compaction + 1,
-        };
-        let mut compacted = false;
-        if next.deltas_since_compaction >= COMPACTION_EVERY {
-            let base = cpssec_search::compact_verified(&next.corpus, &next.tfidf)?;
-            next.state_id = snapshot::inspect(&base)?.snapshot_id;
-            next.deltas_since_compaction = 0;
+        let mut state_id = info.child_id;
+        let mut deltas = current.deltas_since_compaction + 1;
+        let compacted = deltas >= COMPACTION_EVERY;
+        if compacted {
+            let base = cpssec_search::compact_verified(&corpus, &tfidf)?;
+            state_id = snapshot::inspect(&base)?.snapshot_id;
+            deltas = 0;
             self.gauges
                 .compactions_total
                 .fetch_add(1, Ordering::Relaxed);
-            compacted = true;
         }
-        let outcome = DeltaOutcome {
-            info,
-            records: info.records(),
-            state_id: next.state_id,
-            compacted,
-        };
+        let records = corpus.stats().total();
+        self.store
+            .install(CorpusStore::new(corpus, tfidf, state_id, deltas));
         self.gauges
             .delta_applies_total
             .fetch_add(1, Ordering::Relaxed);
         self.gauges
             .corpus_records
-            .store(next.corpus.stats().total() as u64, Ordering::Relaxed);
-        *slot = Some(next);
-        drop(slot);
+            .store(records as u64, Ordering::Relaxed);
         // Cached bodies and priors predate the grown corpus — drop them.
         self.responses.clear();
         self.priors.clear();
-        Ok(outcome)
+        Ok(DeltaOutcome {
+            info,
+            records: info.records(),
+            state_id,
+            compacted,
+        })
     }
 
     /// Runs one telemetry tick at wall time `ts_ms`: diffs counters and
@@ -921,6 +929,26 @@ mod tests {
         let flag = server.shutdown_flag();
         let handle = std::thread::spawn(move || server.run().unwrap());
         (addr, flag, handle)
+    }
+
+    #[test]
+    fn reads_answer_while_a_delta_writer_is_running() {
+        // A writer holds only its own mutex while it applies; a cold read
+        // must not wait for it.
+        let state = AppState::new(cpssec_attackdb::seed::seed_corpus());
+        let writing = state.writer.lock().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = Arc::clone(&state);
+        std::thread::spawn(move || {
+            let raw = b"GET /table1 HTTP/1.1\r\n\r\n";
+            let req = http::read_request(&mut BufReader::new(&raw[..]))
+                .unwrap()
+                .unwrap();
+            let _ = tx.send(router::dispatch(&reader, &req).1.status);
+        });
+        let status = rx.recv_timeout(Duration::from_secs(30));
+        drop(writing);
+        assert_eq!(status, Ok(200));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use cpssec_model::{fnv1a_64, Attribute, AttributeKind, Fidelity};
 use cpssec_search::{Filter, FilterPipeline, ScoringModel};
 
 use crate::http::{Request, Response};
-use crate::AppState;
+use crate::{AppState, CorpusStore};
 
 /// The analysis knobs every read endpoint accepts, plus their canonical
 /// cache-key rendering.
@@ -147,11 +147,14 @@ pub fn parse_spec(req: &Request) -> Result<RequestSpec, String> {
 }
 
 impl RequestSpec {
-    /// The shared cache-key prefix: `{model-hash}/{fidelity}/{scoring}/{filters}`.
+    /// The shared cache-key prefix:
+    /// `{state-id}/{model-hash}/{fidelity}/{scoring}/{filters}`. The
+    /// corpus generation's `state_id` keeps an answer computed on one
+    /// corpus from ever being served for the next.
     #[must_use]
-    pub fn key_prefix(&self, model_hash: u64) -> String {
+    pub fn key_prefix(&self, state_id: u64, model_hash: u64) -> String {
         format!(
-            "{model_hash:016x}/{}/{}/{}",
+            "{state_id:016x}/{model_hash:016x}/{}/{}/{}",
             self.fidelity.as_str(),
             self.scoring.as_str(),
             self.filter_spec
@@ -522,17 +525,18 @@ fn upload_model(state: &AppState, req: &Request) -> Response {
 /// is cached separately from rendered responses.
 fn prior_map(
     state: &AppState,
+    store: &CorpusStore,
     stored: &crate::session::StoredModel,
     spec: &RequestSpec,
 ) -> Arc<AssociationMap> {
-    let key = format!("prior/{}", spec.key_prefix(stored.hash));
+    let key = format!("prior/{}", spec.key_prefix(store.state_id, stored.hash));
     if let Some(map) = state.priors.get(&key) {
         return map;
     }
     let map = Arc::new(AssociationMap::build(
         &stored.model,
-        &state.engine(spec.scoring),
-        &state.corpus(),
+        store.engine(spec.scoring),
+        &store.corpus,
         spec.fidelity,
         &spec.filters,
     ));
@@ -549,11 +553,12 @@ fn associate(state: &AppState, req: &Request, id: &str) -> Response {
         return Response::error(404, &format!("unknown model '{id}'"));
     };
     cpssec_obs::note_model(stored.hash, spec.fidelity.as_str());
+    let store = state.store();
     state.apply_test_delay();
     let component = req.query_param("component");
     let key = format!(
         "assoc/{}/{}",
-        spec.key_prefix(stored.hash),
+        spec.key_prefix(store.state_id, stored.hash),
         component.unwrap_or("-")
     );
     if let Some(body) = state.responses.get(&key) {
@@ -562,8 +567,8 @@ fn associate(state: &AppState, req: &Request, id: &str) -> Response {
     }
     cpssec_obs::annotate("cache", "miss");
 
-    let map = prior_map(state, &stored, &spec);
-    let posture = SystemPosture::compute(&stored.model, &state.corpus(), &map);
+    let map = prior_map(state, &store, &stored, &spec);
+    let posture = SystemPosture::compute(&stored.model, &store.corpus, &map);
     let body = match component {
         None => render::association_json(&stored.model, &map, &posture).to_text(),
         Some(name) => {
@@ -598,10 +603,11 @@ fn whatif_route(state: &AppState, req: &Request, id: &str) -> Response {
         return Response::error(404, &format!("unknown model '{id}'"));
     };
     cpssec_obs::note_model(stored.hash, spec.fidelity.as_str());
+    let store = state.store();
     state.apply_test_delay();
     let key = format!(
         "whatif/{}/{:016x}",
-        spec.key_prefix(stored.hash),
+        spec.key_prefix(store.state_id, stored.hash),
         fnv1a_64(&req.body)
     );
     if let Some(body) = state.responses.get(&key) {
@@ -614,13 +620,13 @@ fn whatif_route(state: &AppState, req: &Request, id: &str) -> Response {
         Ok(changes) => changes,
         Err(message) => return Response::error(400, &message),
     };
-    let prior = prior_map(state, &stored, &spec);
+    let prior = prior_map(state, &store, &stored, &spec);
     let report = match whatif::evaluate_with_prior(
         &stored.model,
         &changes,
         &prior,
-        &state.engine(spec.scoring),
-        &state.corpus(),
+        store.engine(spec.scoring),
+        &store.corpus,
         &spec.filters,
     ) {
         Ok(report) => report,
@@ -641,8 +647,9 @@ fn table1(state: &AppState, req: &Request) -> Response {
         return Response::error(404, &format!("unknown model '{model_id}'"));
     };
     cpssec_obs::note_model(stored.hash, spec.fidelity.as_str());
+    let store = state.store();
     state.apply_test_delay();
-    let key = format!("table1/{}", spec.key_prefix(stored.hash));
+    let key = format!("table1/{}", spec.key_prefix(store.state_id, stored.hash));
     if let Some(body) = state.responses.get(&key) {
         cpssec_obs::annotate("cache", "hit");
         return Response::text(200, body.as_str());
@@ -651,8 +658,8 @@ fn table1(state: &AppState, req: &Request) -> Response {
 
     let rows = attribute_rows(
         &stored.model,
-        &state.engine(spec.scoring),
-        &state.corpus(),
+        store.engine(spec.scoring),
+        &store.corpus,
         spec.fidelity,
         &spec.filters,
     );

@@ -192,3 +192,42 @@ fn malformed_and_stale_bodies_are_rejected() {
     let (status, _) = server.get("/corpus/delta");
     assert_eq!(status, 405);
 }
+
+#[test]
+fn an_answer_from_one_generation_is_never_served_for_the_next() {
+    let target = "/models/scada/associate?fidelity=implementation";
+    let batch = synth::delta_batch(13, 200, 0);
+    let anchor = AppState::new(seed_corpus()).state_id();
+    let delta = build_delta(anchor, &batch);
+    // Reference answers for generation k (the seed corpus) and k+1 (after
+    // the delta), each from a server that only ever saw that generation.
+    let before = TestServer::start(AppState::new(seed_corpus())).get(target);
+    let after = {
+        let state = AppState::new(seed_corpus());
+        state.apply_corpus_delta(&delta).expect("apply");
+        TestServer::start(state).get(target)
+    };
+    assert_eq!(before.0, 200);
+    assert_eq!(after.0, 200);
+    assert_ne!(before.1, after.1, "the delta must change the answer");
+
+    // A request takes generation k, then stalls in the test-delay hook
+    // while generation k+1 is installed and the caches are cleared. Its
+    // answer and its prior land in the caches after the clear.
+    let server = Arc::new(TestServer::start(AppState::new(seed_corpus())));
+    server.state.test_delay.store(1_000_000, Ordering::Relaxed);
+    let slow = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.get(target))
+    };
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    let (status, body) = server.post_bytes("/corpus/delta", &delta);
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+    let stale = slow.join().expect("slow request");
+    assert_eq!(stale, before, "the stalled request answers on generation k");
+
+    // Generation k+1 must compute its own answer, not serve k's.
+    server.state.test_delay.store(0, Ordering::Relaxed);
+    assert_eq!(server.get(target), after);
+    assert_eq!(server.get(target), after, "cached answer");
+}
