@@ -148,23 +148,7 @@ impl Json {
                     let _ = write!(out, "{n}");
                 }
             }
-            Json::String(s) => {
-                out.push('"');
-                for ch in s.chars() {
-                    match ch {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
+            Json::String(s) => cpssec_attackdb::json::write_escaped(out, s),
             Json::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {

@@ -84,15 +84,22 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest array/object nesting [`parse`] accepts. The parser
+/// recurses once per level, so this bounds its stack use: a body of a
+/// few hundred kilobytes of `[` is an error, not a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one complete JSON value; trailing non-whitespace is an error.
 ///
 /// # Errors
 ///
-/// [`JsonError`] with the byte offset of the problem.
+/// [`JsonError`] with the byte offset of the problem, including nesting
+/// deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut parser = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.value()?;
@@ -106,6 +113,8 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -137,8 +146,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -150,6 +159,22 @@ impl Parser<'_> {
             )),
             None => Err(JsonError::new(self.pos, "unexpected end of input")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::new(
+                self.pos,
+                format!("nesting deeper than {MAX_DEPTH} levels"),
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, text: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
@@ -390,6 +415,31 @@ mod tests {
         for bad in ["", "{", "[1,", "tru", "\"open", "{\"a\" 1}", "1 2", "{,}"] {
             assert!(parse(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!("json error at byte {MAX_DEPTH}: nesting deeper than {MAX_DEPTH} levels")
+        );
+        // Objects count toward the same limit.
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":[".repeat(MAX_DEPTH / 2),
+            "]}".repeat(MAX_DEPTH / 2)
+        );
+        assert!(parse(&objects).is_ok());
+        assert!(parse(&format!("[{objects}]")).is_err());
+    }
+
+    #[test]
+    fn a_flood_of_open_brackets_is_an_error_not_a_stack_overflow() {
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -1541,6 +1541,22 @@ mod tests {
     }
 
     #[test]
+    fn the_scale_001_snapshot_is_pinned() {
+        // Recorded when `.cpsnap` moved onto the shared section-table
+        // container: the file must stay byte-identical, and the id
+        // fingerprints every section checksum.
+        let dir = std::env::temp_dir().join("cpssec-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("pinned.cpsnap");
+        let path = path.to_str().unwrap().to_owned();
+        run_capture(&["snapshot", "build", &path, "--scale", "0.01"]).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes.len(), 1_233_979);
+        let info = cpssec_search::snapshot::inspect(&bytes).unwrap();
+        assert_eq!(info.snapshot_id, 0x6e9c_5430_7467_70bb);
+    }
+
+    #[test]
     fn profile_wraps_a_command_and_writes_the_flame_graph() {
         let dir = std::env::temp_dir().join("cpssec-cli-test");
         std::fs::create_dir_all(&dir).unwrap();

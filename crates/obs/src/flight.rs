@@ -13,16 +13,21 @@
 //! A dump ([`encode_dump`]) atomically snapshots every live ring plus
 //! the recorder's stage aggregates, the interned label table, and
 //! caller-supplied context (recent-request ring, active alerts, a
-//! metrics scrape) into a `.cpsflight` file using the `.cpsnap` v2
-//! section-table container: magic + version + checksummed sections at
-//! 8-byte-aligned offsets. Dumps are triggered by an SLO alert firing,
-//! a panic (via [`install_panic_hook`]), SIGUSR1, or `POST
-//! /debug/flight/dump`; the trigger paths all route through the
-//! process-wide hook installed with [`set_dump_hook`].
+//! metrics scrape) into a `.cpsflight` file in the section-table
+//! [`container`](crate::container) that `.cpsnap` snapshots also use:
+//! magic + version + checksummed sections at 8-byte-aligned offsets.
+//! Dumps are triggered by an SLO alert firing, a panic (via
+//! [`install_panic_hook`]), SIGUSR1, or `POST /debug/flight/dump`; the
+//! trigger paths all route through the process-wide hook installed with
+//! [`set_dump_hook`].
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock, Weak};
 use std::time::Instant;
+
+use crate::container::{
+    fnv1a_64, put_u16, put_u32, put_u64, ContainerError, Format, Reader, Section, SectionInfo,
+};
 
 /// The six magic bytes every `.cpsflight` file starts with.
 pub const MAGIC: [u8; 6] = *b"CPSFLT";
@@ -30,8 +35,15 @@ pub const MAGIC: [u8; 6] = *b"CPSFLT";
 /// The format version this build writes and reads.
 pub const FORMAT_VERSION: u16 = 1;
 
-/// Bytes per section-table entry: id + offset + len + checksum.
-const TABLE_ENTRY_LEN: usize = 2 + 8 + 8 + 8;
+/// The `.cpsflight` container: plain FNV-1a checksums (dump payloads are
+/// small; no word folding needed).
+const CONTAINER: Format<FlightError> = Format {
+    magic: MAGIC,
+    version: FORMAT_VERSION,
+    checksum: fnv1a_64,
+    section_name,
+    error: FlightError::from,
+};
 
 /// Events retained per thread ring (oldest overwritten on wrap).
 pub const DEFAULT_RING_EVENTS: usize = 2048;
@@ -43,15 +55,6 @@ const SEC_EVENTS: u16 = 4;
 const SEC_REQUESTS: u16 = 5;
 const SEC_ALERTS: u16 = 6;
 const SEC_METRICS: u16 = 7;
-const SECTION_IDS: [u16; 7] = [
-    SEC_META,
-    SEC_LABELS,
-    SEC_STAGES,
-    SEC_EVENTS,
-    SEC_REQUESTS,
-    SEC_ALERTS,
-    SEC_METRICS,
-];
 
 fn section_name(id: u16) -> Option<&'static str> {
     match id {
@@ -64,10 +67,6 @@ fn section_name(id: u16) -> Option<&'static str> {
         SEC_METRICS => Some("metrics"),
         _ => None,
     }
-}
-
-fn align8(n: u64) -> u64 {
-    n.next_multiple_of(8)
 }
 
 /// What happened, encoded in an event's `kind` byte.
@@ -318,36 +317,18 @@ pub fn install_panic_hook() {
 }
 
 // ---------------------------------------------------------------------------
-// Wire helpers (little-endian, mirroring the `.cpsnap` conventions).
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+// Wire helpers (little-endian, as in the container).
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
     put_u32(out, u32::try_from(s.len()).expect("string fits u32"));
     out.extend_from_slice(s.as_bytes());
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over bytes (dump payloads are small; no word folding needed).
-fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+fn read_str(r: &mut Reader<'_>) -> Result<String, FlightError> {
+    let len = r.u32()? as usize;
+    let bytes = r.take(len)?;
+    String::from_utf8(bytes.to_vec())
+        .map_err(|_| FlightError::Corrupt("invalid UTF-8 in flight dump string".into()))
 }
 
 /// Errors while reading a `.cpsflight` dump; every variant renders as
@@ -379,44 +360,15 @@ impl std::fmt::Display for FlightError {
 
 impl std::error::Error for FlightError {}
 
-/// Bounds-checked little-endian reader.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FlightError> {
-        let end = self.pos.checked_add(n).ok_or(FlightError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(FlightError::Truncated);
+impl From<ContainerError> for FlightError {
+    fn from(e: ContainerError) -> Self {
+        match e {
+            ContainerError::Truncated => FlightError::Truncated,
+            ContainerError::BadMagic => FlightError::BadMagic,
+            ContainerError::UnsupportedVersion(v) => FlightError::UnsupportedVersion(v),
+            ContainerError::ChecksumMismatch(name) => FlightError::ChecksumMismatch(name),
+            ContainerError::Corrupt(msg) => FlightError::Corrupt(msg),
         }
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u16(&mut self) -> Result<u16, FlightError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, FlightError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, FlightError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<String, FlightError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| FlightError::Corrupt("invalid UTF-8 in flight dump string".into()))
     }
 }
 
@@ -613,48 +565,15 @@ pub fn encode_dump(input: &DumpInput<'_>) -> Vec<u8> {
         }
     }
 
-    let payloads: [&[u8]; 7] = [
-        &meta,
-        &labels_payload,
-        &stages_payload,
-        &events_payload,
-        input.requests_json.as_bytes(),
-        input.alerts_json.as_bytes(),
-        input.metrics_text.as_bytes(),
-    ];
-    let header_len = (MAGIC.len() + 2 + 4 + 8 + payloads.len() * TABLE_ENTRY_LEN) as u64;
-    let mut table = Vec::with_capacity(payloads.len() * TABLE_ENTRY_LEN);
-    let mut section_offsets = Vec::with_capacity(payloads.len());
-    let mut offset = align8(header_len);
-    for (id, payload) in SECTION_IDS.iter().zip(payloads.iter()) {
-        put_u16(&mut table, *id);
-        put_u64(&mut table, offset);
-        put_u64(&mut table, payload.len() as u64);
-        put_u64(&mut table, fnv1a_64(payload));
-        section_offsets.push(offset as usize);
-        offset = align8(offset + payload.len() as u64);
-    }
-    let dump_id = fnv1a_64(&table);
-    let mut out = Vec::with_capacity(offset as usize);
-    out.extend_from_slice(&MAGIC);
-    put_u16(&mut out, FORMAT_VERSION);
-    put_u32(&mut out, payloads.len() as u32);
-    put_u64(&mut out, dump_id);
-    out.extend_from_slice(&table);
-    for (payload, &section_offset) in payloads.iter().zip(&section_offsets) {
-        out.resize(section_offset, 0);
-        out.extend_from_slice(payload);
-    }
-    out
-}
-
-/// One section table entry, as [`inspect`] reports it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlightSectionInfo {
-    pub name: &'static str,
-    pub offset: u64,
-    pub len: u64,
-    pub checksum: u64,
+    CONTAINER.write(&[
+        (SEC_META, &meta),
+        (SEC_LABELS, &labels_payload),
+        (SEC_STAGES, &stages_payload),
+        (SEC_EVENTS, &events_payload),
+        (SEC_REQUESTS, input.requests_json.as_bytes()),
+        (SEC_ALERTS, input.alerts_json.as_bytes()),
+        (SEC_METRICS, input.metrics_text.as_bytes()),
+    ])
 }
 
 /// Header-level description of a dump (no payload decoding).
@@ -662,129 +581,50 @@ pub struct FlightSectionInfo {
 pub struct FlightInfo {
     pub version: u16,
     pub dump_id: u64,
-    pub sections: Vec<FlightSectionInfo>,
-}
-
-struct Section<'a> {
-    id: u16,
-    name: &'static str,
-    offset: u64,
-    checksum: u64,
-    payload: &'a [u8],
-}
-
-fn split_sections(bytes: &[u8]) -> Result<(u16, u64, Vec<Section<'_>>), FlightError> {
-    if bytes.len() < MAGIC.len() {
-        return Err(FlightError::Truncated);
-    }
-    if bytes[..MAGIC.len()] != MAGIC {
-        return Err(FlightError::BadMagic);
-    }
-    let mut r = Reader::new(&bytes[MAGIC.len()..]);
-    let version = r.u16()?;
-    if version != FORMAT_VERSION {
-        return Err(FlightError::UnsupportedVersion(version));
-    }
-    let count = r.u32()?;
-    let dump_id = r.u64()?;
-    let table = r.take(count as usize * TABLE_ENTRY_LEN)?;
-    if fnv1a_64(table) != dump_id {
-        return Err(FlightError::ChecksumMismatch("section table"));
-    }
-    let mut tr = Reader::new(table);
-    let mut sections = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let id = tr.u16()?;
-        let offset = tr.u64()?;
-        let len = tr.u64()?;
-        let checksum = tr.u64()?;
-        let name = section_name(id).ok_or_else(|| {
-            FlightError::Corrupt(format!("unknown section id {id} in the section table"))
-        })?;
-        if offset % 8 != 0 {
-            return Err(FlightError::Corrupt(format!(
-                "`{name}` section offset {offset} is not 8-byte aligned"
-            )));
-        }
-        let end = offset.checked_add(len).ok_or(FlightError::Truncated)?;
-        if end > bytes.len() as u64 {
-            return Err(FlightError::Truncated);
-        }
-        sections.push(Section {
-            id,
-            name,
-            offset,
-            checksum,
-            payload: &bytes[offset as usize..end as usize],
-        });
-    }
-    Ok((version, dump_id, sections))
-}
-
-fn checked_sections(bytes: &[u8]) -> Result<Vec<Section<'_>>, FlightError> {
-    let (_, _, sections) = split_sections(bytes)?;
-    for section in &sections {
-        if fnv1a_64(section.payload) != section.checksum {
-            return Err(FlightError::ChecksumMismatch(section.name));
-        }
-    }
-    Ok(sections)
-}
-
-fn find_section<'a>(sections: &'a [Section<'_>], id: u16) -> Result<&'a Section<'a>, FlightError> {
-    sections.iter().find(|s| s.id == id).ok_or_else(|| {
-        let name = section_name(id).unwrap_or("?");
-        FlightError::Corrupt(format!("missing `{name}` section"))
-    })
+    pub sections: Vec<SectionInfo>,
 }
 
 /// Parse the header and section table (checksums verified) without
 /// decoding payloads.
 pub fn inspect(bytes: &[u8]) -> Result<FlightInfo, FlightError> {
-    let (version, dump_id, sections) = split_sections(bytes)?;
-    for section in &sections {
-        if fnv1a_64(section.payload) != section.checksum {
-            return Err(FlightError::ChecksumMismatch(section.name));
-        }
-    }
+    let (version, dump_id, sections) = CONTAINER.checked_sections(bytes)?;
     Ok(FlightInfo {
         version,
         dump_id,
-        sections: sections
-            .iter()
-            .map(|s| FlightSectionInfo {
-                name: s.name,
-                offset: s.offset,
-                len: s.payload.len() as u64,
-                checksum: s.checksum,
-            })
-            .collect(),
+        sections: sections.iter().map(Section::info).collect(),
     })
 }
 
 /// Fully decode a dump, verifying every section checksum.
+///
+/// Checksums are not authentication: every count read from the file is
+/// clamped by the bytes that remain before it sizes an allocation.
 pub fn decode(bytes: &[u8]) -> Result<FlightDump, FlightError> {
-    let sections = checked_sections(bytes)?;
+    let (_, _, sections) = CONTAINER.checked_sections(bytes)?;
+    let payload = |id: u16| CONTAINER.find_section(&sections, id).map(|s| s.payload);
 
-    let mut r = Reader::new(find_section(&sections, SEC_META)?.payload);
+    let mut r = Reader::new(payload(SEC_META)?);
     let wall_ms = r.u64()?;
     let dumped_at_us = r.u64()?;
-    let reason = r.str()?;
+    let reason = read_str(&mut r)?;
 
-    let mut r = Reader::new(find_section(&sections, SEC_LABELS)?.payload);
+    // Minimum encoded sizes: a string is a u32 length; a stage line is
+    // id + name + four u64s; a thread is tid + count; an event is
+    // ts + kind + a + b.
+    let mut r = Reader::new(payload(SEC_LABELS)?);
     let count = r.u32()?;
-    let mut labels = Vec::with_capacity(count as usize);
+    let mut labels = Vec::with_capacity(r.capacity_for(count, 4));
     for _ in 0..count {
-        labels.push(r.str()?);
+        labels.push(read_str(&mut r)?);
     }
 
-    let mut r = Reader::new(find_section(&sections, SEC_STAGES)?.payload);
+    let mut r = Reader::new(payload(SEC_STAGES)?);
     let count = r.u32()?;
-    let mut stages = Vec::with_capacity(count as usize);
+    let mut stages = Vec::with_capacity(r.capacity_for(count, 2 + 4 + 4 * 8));
     for _ in 0..count {
         stages.push(StageLine {
             id: r.u16()?,
-            name: r.str()?,
+            name: read_str(&mut r)?,
             count: r.u64()?,
             total_us: r.u64()?,
             p50_us: r.u64()?,
@@ -792,13 +632,13 @@ pub fn decode(bytes: &[u8]) -> Result<FlightDump, FlightError> {
         });
     }
 
-    let mut r = Reader::new(find_section(&sections, SEC_EVENTS)?.payload);
+    let mut r = Reader::new(payload(SEC_EVENTS)?);
     let thread_count = r.u32()?;
-    let mut threads = Vec::with_capacity(thread_count as usize);
+    let mut threads = Vec::with_capacity(r.capacity_for(thread_count, 4 + 4));
     for _ in 0..thread_count {
         let tid = r.u32()?;
         let event_count = r.u32()?;
-        let mut events = Vec::with_capacity(event_count as usize);
+        let mut events = Vec::with_capacity(r.capacity_for(event_count, 8 + 1 + 8 + 8));
         for _ in 0..event_count {
             let ts_us = r.u64()?;
             let kind_byte = r.take(1)?[0];
@@ -813,7 +653,7 @@ pub fn decode(bytes: &[u8]) -> Result<FlightDump, FlightError> {
     }
 
     let text = |id: u16| -> Result<String, FlightError> {
-        String::from_utf8(find_section(&sections, id)?.payload.to_vec())
+        String::from_utf8(payload(id)?.to_vec())
             .map_err(|_| FlightError::Corrupt("invalid UTF-8 in flight dump section".into()))
     };
 
@@ -946,6 +786,40 @@ mod tests {
             FlightError::ChecksumMismatch("events"),
         ] {
             assert_eq!(err.to_string().lines().count(), 1);
+        }
+    }
+
+    #[test]
+    fn forged_counts_error_without_reserving_their_memory() {
+        // Valid checksums around a count of u32::MAX in each counted
+        // section: labels, stages, threads, and one thread's events.
+        let meta = [0u8; 20]; // wall ms, dump µs, empty reason
+        let (zero, max) = (&0u32.to_le_bytes()[..], &u32::MAX.to_le_bytes()[..]);
+        let events = [
+            1u32.to_le_bytes(),
+            7u32.to_le_bytes(),
+            u32::MAX.to_le_bytes(),
+        ]
+        .concat();
+        let write = |labels, stages, events| {
+            CONTAINER.write(&[
+                (SEC_META, &meta),
+                (SEC_LABELS, labels),
+                (SEC_STAGES, stages),
+                (SEC_EVENTS, events),
+                (SEC_REQUESTS, b""),
+                (SEC_ALERTS, b""),
+                (SEC_METRICS, b""),
+            ])
+        };
+        assert!(decode(&write(zero, zero, zero)).is_ok());
+        for bytes in [
+            write(max, zero, zero),
+            write(zero, max, zero),
+            write(zero, zero, max),
+            write(zero, zero, &events),
+        ] {
+            assert_eq!(decode(&bytes).unwrap_err(), FlightError::Truncated);
         }
     }
 

@@ -17,6 +17,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod container;
 pub mod flight;
 pub mod hist;
 pub mod profile;

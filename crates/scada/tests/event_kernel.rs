@@ -1,23 +1,21 @@
-//! Equivalence proof for the event-driven kernel on the full testbed.
+//! Golden-output check for the event-driven kernel on the full testbed.
 //!
-//! The min-heap event queue must reproduce the legacy fixed-tick
-//! reference loop *byte for byte* — same trace CSV, same bus log, same
-//! hazards, same batch report — across the centrifuge's nominal batch
-//! and every built-in attack scenario. Fixed-tick semantics are the
-//! special case of every-tick events; this is the proof.
+//! The min-heap event queue must reproduce the original fixed-tick loop
+//! byte for byte: same trace CSV, same bus log, same hazards, same batch
+//! report, across the centrifuge's nominal batch and every built-in
+//! attack scenario. The loop itself is gone; `golden/event_kernel.txt`
+//! holds its output (byte length and FNV-1a of each observable),
+//! recorded while both engines still ran side by side.
 
+use cpssec_model::fnv1a_64;
 use cpssec_scada::{attacks, ScadaConfig, ScadaHarness};
-use cpssec_sim::KernelEngine;
 
-/// Everything observable after a batch under one engine.
-struct Fingerprint {
-    trace_csv: String,
-    bus_log: Vec<String>,
-    hazards: Vec<String>,
-    report: String,
-}
+const GOLDEN: &str = include_str!("golden/event_kernel.txt");
+const TICKS: u64 = 4000;
 
-fn fingerprint(engine: KernelEngine, attack: Option<&str>, ticks: u64) -> Fingerprint {
+/// `label` followed by the byte length and FNV-1a of every observable
+/// after one batch, in the golden file's line format.
+fn fingerprint(label: &str, attack: Option<&str>) -> String {
     let config = ScadaConfig::default();
     let mut harness = match attack {
         Some(name) => {
@@ -29,62 +27,50 @@ fn fingerprint(engine: KernelEngine, attack: Option<&str>, ticks: u64) -> Finger
         }
         None => ScadaHarness::new(config),
     };
-    harness.sim_mut().set_engine(engine);
-    let report = harness.run_batch_for(ticks);
+    let report = format!("{:?}", harness.run_batch_for(TICKS));
     let sim = harness.sim();
-    Fingerprint {
-        trace_csv: sim.trace().to_csv(),
-        bus_log: sim
-            .bus()
-            .log()
-            .iter()
-            .map(|e| format!("{} {:?} {:?}", e.tick, e.request, e.outcome))
-            .collect(),
-        hazards: sim
-            .hazards()
-            .iter()
-            .map(|h| format!("{}@{}", h.hazard, h.at))
-            .collect(),
-        report: format!("{report:?}"),
+    let trace = sim.trace().to_csv();
+    let bus: String = sim
+        .bus()
+        .log()
+        .iter()
+        .map(|e| format!("{} {:?} {:?}\n", e.tick, e.request, e.outcome))
+        .collect();
+    let hazards: String = sim
+        .hazards()
+        .iter()
+        .map(|h| format!("{}@{}\n", h.hazard, h.at))
+        .collect();
+    let mut line = label.to_owned();
+    for part in [&trace, &bus, &hazards, &report] {
+        line.push_str(&format!(
+            " {} {:016x}",
+            part.len(),
+            fnv1a_64(part.as_bytes())
+        ));
     }
+    line
 }
 
-fn assert_equivalent(attack: Option<&str>, ticks: u64) {
-    let label = attack.unwrap_or("nominal");
-    let event = fingerprint(KernelEngine::EventQueue, attack, ticks);
-    let reference = fingerprint(KernelEngine::ReferenceLoop, attack, ticks);
-    assert_eq!(
-        event.trace_csv, reference.trace_csv,
-        "{label}: trace CSV must be byte-identical"
-    );
-    assert_eq!(
-        event.bus_log, reference.bus_log,
-        "{label}: bus logs must match entry-for-entry"
-    );
-    assert_eq!(
-        event.hazards, reference.hazards,
-        "{label}: hazards must match"
-    );
-    assert_eq!(
-        event.report, reference.report,
-        "{label}: batch reports must match"
-    );
+fn golden(label: &str) -> &'static str {
+    GOLDEN
+        .lines()
+        .find(|l| l.split(' ').next() == Some(label))
+        .unwrap_or_else(|| panic!("no golden line for {label}"))
 }
 
 #[test]
-fn nominal_batch_is_byte_identical_across_engines() {
-    assert_equivalent(None, 4000);
+fn nominal_batch_matches_the_reference_loop_golden() {
+    assert_eq!(fingerprint("nominal", None), golden("nominal"));
 }
 
 #[test]
-fn every_attack_scenario_is_byte_identical_across_engines() {
-    for scenario in attacks::all_scenarios() {
-        assert_equivalent(Some(&scenario.name), 4000);
+fn every_attack_scenario_matches_the_reference_loop_golden() {
+    let scenarios = attacks::all_scenarios();
+    let pinned = GOLDEN.lines().filter(|l| !l.starts_with('#')).count();
+    assert_eq!(pinned, scenarios.len() + 1, "one golden line per run");
+    for scenario in scenarios {
+        let name = &scenario.name;
+        assert_eq!(fingerprint(name, Some(name)), golden(name), "{name}");
     }
-}
-
-#[test]
-fn the_default_engine_is_the_event_queue() {
-    let harness = ScadaHarness::new(ScadaConfig::default());
-    assert_eq!(harness.sim().engine(), KernelEngine::EventQueue);
 }

@@ -13,6 +13,8 @@
 //!
 //! # Layout (format version 2)
 //!
+//! The section-table container of [`cpssec_obs::container`]:
+//!
 //! ```text
 //! magic        "CPSNAP"                      6 bytes
 //! version      u16 LE                        2 bytes
@@ -42,9 +44,11 @@
 //! from the corpus, never an archival format.
 
 use cpssec_attackdb::snapshot as record_wire;
-use cpssec_attackdb::snapshot::{put_u16, put_u32, put_u64, Reader};
+use cpssec_attackdb::snapshot::{put_u16, put_u32, Reader};
 use cpssec_attackdb::{CapecId, Corpus, CveId, CweId};
 use cpssec_model::fnv1a_64_wide;
+pub use cpssec_obs::container::SectionInfo;
+use cpssec_obs::container::{ContainerError, Format, Section};
 
 pub use cpssec_attackdb::snapshot::SnapshotError;
 
@@ -58,20 +62,20 @@ pub const MAGIC: [u8; 6] = *b"CPSNAP";
 /// The format version this build writes and reads.
 pub const FORMAT_VERSION: u16 = 2;
 
-/// Bytes per section-table entry: id + offset + len + checksum.
-pub(crate) const TABLE_ENTRY_LEN: usize = 2 + 8 + 8 + 8;
+/// The `.cpsnap` container: word-folded FNV checksums, since payloads
+/// run to megabytes.
+pub(crate) const CONTAINER: Format<SnapshotError> = Format {
+    magic: MAGIC,
+    version: FORMAT_VERSION,
+    checksum: fnv1a_64_wide,
+    section_name,
+    error: snapshot_error,
+};
 
 pub(crate) const SEC_CORPUS: u16 = 1;
 pub(crate) const SEC_PATTERNS: u16 = 2;
 pub(crate) const SEC_WEAKNESSES: u16 = 3;
 pub(crate) const SEC_VULNERABILITIES: u16 = 4;
-/// Section order in every written snapshot.
-const SECTION_IDS: [u16; 4] = [
-    SEC_CORPUS,
-    SEC_PATTERNS,
-    SEC_WEAKNESSES,
-    SEC_VULNERABILITIES,
-];
 
 fn section_name(id: u16) -> Option<&'static str> {
     match id {
@@ -83,22 +87,14 @@ fn section_name(id: u16) -> Option<&'static str> {
     }
 }
 
-/// Rounds `n` up to the next 8-byte boundary (section alignment rule).
-fn align8(n: u64) -> u64 {
-    n.next_multiple_of(8)
-}
-
-/// One section table entry, as [`inspect`] reports it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SectionInfo {
-    /// Section name (`corpus`, `patterns`, `weaknesses`, `vulnerabilities`).
-    pub name: &'static str,
-    /// Absolute byte offset of the payload (8-byte aligned).
-    pub offset: u64,
-    /// Payload length in bytes.
-    pub len: u64,
-    /// Stored word-folded FNV checksum of the payload.
-    pub checksum: u64,
+fn snapshot_error(e: ContainerError) -> SnapshotError {
+    match e {
+        ContainerError::Truncated => SnapshotError::Truncated,
+        ContainerError::BadMagic => SnapshotError::BadMagic,
+        ContainerError::UnsupportedVersion(v) => SnapshotError::UnsupportedVersion(v),
+        ContainerError::ChecksumMismatch(name) => SnapshotError::ChecksumMismatch(name),
+        ContainerError::Corrupt(detail) => SnapshotError::Corrupt(detail),
+    }
 }
 
 /// Header-level description of a snapshot (no payload decoding).
@@ -282,118 +278,12 @@ pub fn encode(corpus: &Corpus, engine: &SearchEngine) -> Vec<u8> {
         }
     });
 
-    let payloads = [
-        corpus_payload,
-        patterns_payload,
-        weaknesses_payload,
-        vulnerabilities_payload,
-    ];
-    let header_len = (MAGIC.len() + 2 + 4 + 8 + payloads.len() * TABLE_ENTRY_LEN) as u64;
-    let mut table = Vec::with_capacity(payloads.len() * TABLE_ENTRY_LEN);
-    let mut section_offsets = Vec::with_capacity(payloads.len());
-    let mut offset = align8(header_len);
-    for (id, payload) in SECTION_IDS.iter().zip(payloads.iter()) {
-        put_u16(&mut table, *id);
-        put_u64(&mut table, offset);
-        put_u64(&mut table, payload.len() as u64);
-        put_u64(&mut table, fnv1a_64_wide(payload));
-        section_offsets.push(offset as usize);
-        offset = align8(offset + payload.len() as u64);
-    }
-    let snapshot_id = fnv1a_64_wide(&table);
-    let mut out = Vec::with_capacity(offset as usize);
-    out.extend_from_slice(&MAGIC);
-    put_u16(&mut out, FORMAT_VERSION);
-    put_u32(&mut out, u32::try_from(payloads.len()).expect("fits u32"));
-    put_u64(&mut out, snapshot_id);
-    out.extend_from_slice(&table);
-    for (payload, &section_offset) in payloads.iter().zip(&section_offsets) {
-        out.resize(section_offset, 0); // alignment padding
-        out.extend_from_slice(payload);
-    }
-    out
-}
-
-/// A parsed section: table entry plus its (not yet verified) payload.
-pub(crate) struct Section<'a> {
-    pub(crate) id: u16,
-    pub(crate) name: &'static str,
-    pub(crate) offset: u64,
-    pub(crate) checksum: u64,
-    pub(crate) payload: &'a [u8],
-}
-
-/// Parses the header and section table in *O(header)*: magic, version,
-/// the `snapshot_id` integrity check over the table bytes, then
-/// bounds- and alignment-checks on every payload span. Payload checksums
-/// are NOT verified here — that is [`checked_sections`].
-pub(crate) fn split_sections(bytes: &[u8]) -> Result<(u16, u64, Vec<Section<'_>>), SnapshotError> {
-    if bytes.len() < MAGIC.len() {
-        return Err(SnapshotError::Truncated);
-    }
-    if bytes[..MAGIC.len()] != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let mut r = Reader::new(&bytes[MAGIC.len()..]);
-    let version = r.u16()?;
-    if version != FORMAT_VERSION {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
-    let count = r.u32()?;
-    let snapshot_id = r.u64()?;
-    let table = r.take(count as usize * TABLE_ENTRY_LEN)?;
-    if fnv1a_64_wide(table) != snapshot_id {
-        return Err(SnapshotError::ChecksumMismatch("section table"));
-    }
-    let mut tr = Reader::new(table);
-    let mut sections = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let id = tr.u16()?;
-        let offset = tr.u64()?;
-        let len = tr.u64()?;
-        let checksum = tr.u64()?;
-        let name = section_name(id).ok_or_else(|| {
-            SnapshotError::Corrupt(format!("unknown section id {id} in the section table"))
-        })?;
-        if offset % 8 != 0 {
-            return Err(SnapshotError::Corrupt(format!(
-                "`{name}` section offset {offset} is not 8-byte aligned"
-            )));
-        }
-        let end = offset.checked_add(len).ok_or(SnapshotError::Truncated)?;
-        if end > bytes.len() as u64 {
-            return Err(SnapshotError::Truncated);
-        }
-        sections.push(Section {
-            id,
-            name,
-            offset,
-            checksum,
-            payload: &bytes[offset as usize..end as usize],
-        });
-    }
-    Ok((version, snapshot_id, sections))
-}
-
-/// Verifies every section checksum, then returns payloads keyed by id.
-pub(crate) fn checked_sections(bytes: &[u8]) -> Result<Vec<Section<'_>>, SnapshotError> {
-    let (_, _, sections) = split_sections(bytes)?;
-    for section in &sections {
-        if fnv1a_64_wide(section.payload) != section.checksum {
-            return Err(SnapshotError::ChecksumMismatch(section.name));
-        }
-    }
-    Ok(sections)
-}
-
-pub(crate) fn find_section<'a>(
-    sections: &'a [Section<'_>],
-    id: u16,
-) -> Result<&'a Section<'a>, SnapshotError> {
-    sections.iter().find(|s| s.id == id).ok_or_else(|| {
-        let name = section_name(id).unwrap_or("?");
-        SnapshotError::Corrupt(format!("missing `{name}` section"))
-    })
+    CONTAINER.write(&[
+        (SEC_CORPUS, &corpus_payload),
+        (SEC_PATTERNS, &patterns_payload),
+        (SEC_WEAKNESSES, &weaknesses_payload),
+        (SEC_VULNERABILITIES, &vulnerabilities_payload),
+    ])
 }
 
 /// Decodes one family section: id table + index, fully consumed.
@@ -441,18 +331,13 @@ pub fn decode_with_config(
     config: MatchConfig,
 ) -> Result<(Corpus, SearchEngine), SnapshotError> {
     let _span = cpssec_obs::span!("snapshot-decode");
-    let sections = checked_sections(bytes)?;
+    let (_, _, sections) = CONTAINER.checked_sections(bytes)?;
+    let section = |id| CONTAINER.find_section(&sections, id);
 
-    let corpus_section = find_section(&sections, SEC_CORPUS)?;
-    let corpus = decode_corpus_section(corpus_section.payload)?;
-
-    let patterns = decode_family(find_section(&sections, SEC_PATTERNS)?, |r| {
-        Ok(CapecId::new(r.u32()?))
-    })?;
-    let weaknesses = decode_family(find_section(&sections, SEC_WEAKNESSES)?, |r| {
-        Ok(CweId::new(r.u32()?))
-    })?;
-    let vulnerabilities = decode_family(find_section(&sections, SEC_VULNERABILITIES)?, |r| {
+    let corpus = decode_corpus_section(section(SEC_CORPUS)?.payload)?;
+    let patterns = decode_family(section(SEC_PATTERNS)?, |r| Ok(CapecId::new(r.u32()?)))?;
+    let weaknesses = decode_family(section(SEC_WEAKNESSES)?, |r| Ok(CweId::new(r.u32()?)))?;
+    let vulnerabilities = decode_family(section(SEC_VULNERABILITIES)?, |r| {
         Ok(CveId::new(r.u16()?, r.u32()?))
     })?;
 
@@ -496,19 +381,11 @@ pub fn decode(bytes: &[u8]) -> Result<(Corpus, SearchEngine), SnapshotError> {
 /// Truncation, bad magic, unsupported version, a corrupted section table,
 /// or an unknown section id.
 pub fn inspect(bytes: &[u8]) -> Result<SnapshotInfo, SnapshotError> {
-    let (version, snapshot_id, sections) = split_sections(bytes)?;
+    let (version, snapshot_id, sections) = CONTAINER.split_sections(bytes)?;
     Ok(SnapshotInfo {
         version,
         snapshot_id,
-        sections: sections
-            .iter()
-            .map(|s| SectionInfo {
-                name: s.name,
-                offset: s.offset,
-                len: s.payload.len() as u64,
-                checksum: s.checksum,
-            })
-            .collect(),
+        sections: sections.iter().map(Section::info).collect(),
     })
 }
 
@@ -673,7 +550,7 @@ mod tests {
     #[test]
     fn every_header_truncation_point_fails_cleanly() {
         let (_, bytes) = snapshot();
-        let header = 6 + 2 + 4 + 8 + 4 * TABLE_ENTRY_LEN;
+        let header = 6 + 2 + 4 + 8 + 4 * cpssec_obs::container::TABLE_ENTRY_LEN;
         for len in 0..header {
             let err = decode(&bytes[..len]).unwrap_err();
             assert!(

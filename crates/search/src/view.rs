@@ -38,9 +38,9 @@ use cpssec_model::{Channel, ChannelId, Component, Fidelity, SystemModel};
 use crate::engine::{par_fan_out, prepare_query, run_family, MatchConfig, MatchSet, QueryScratch};
 use crate::index::{DocId, PostingWeight, TermLookup};
 use crate::snapshot::{
-    checked_sections, find_section, split_sections, Section, SnapshotError, SEC_CORPUS,
-    SEC_PATTERNS, SEC_VULNERABILITIES, SEC_WEAKNESSES,
+    SnapshotError, CONTAINER, SEC_CORPUS, SEC_PATTERNS, SEC_VULNERABILITIES, SEC_WEAKNESSES,
 };
+use cpssec_obs::container::Section;
 
 /// Bytes per term entry in the wire layout (see [`crate::snapshot`]).
 const TERM_ENTRY_LEN: usize = 24;
@@ -208,11 +208,12 @@ fn parse_corpus_section(section: &Section<'_>) -> Result<[RecordFamilySpans; 3],
 /// Truncation, bad magic, unsupported version, a corrupt section table,
 /// or section geometry that does not tile the payload.
 pub fn open(bytes: Arc<[u8]>) -> Result<SnapshotView, SnapshotError> {
-    let (_, snapshot_id, sections) = split_sections(&bytes)?;
-    let corpus = parse_corpus_section(find_section(&sections, SEC_CORPUS)?)?;
-    let patterns = parse_family_section(find_section(&sections, SEC_PATTERNS)?, 4)?;
-    let weaknesses = parse_family_section(find_section(&sections, SEC_WEAKNESSES)?, 4)?;
-    let vulnerabilities = parse_family_section(find_section(&sections, SEC_VULNERABILITIES)?, 6)?;
+    let (_, snapshot_id, sections) = CONTAINER.split_sections(&bytes)?;
+    let section = |id| CONTAINER.find_section(&sections, id);
+    let corpus = parse_corpus_section(section(SEC_CORPUS)?)?;
+    let patterns = parse_family_section(section(SEC_PATTERNS)?, 4)?;
+    let weaknesses = parse_family_section(section(SEC_WEAKNESSES)?, 4)?;
+    let vulnerabilities = parse_family_section(section(SEC_VULNERABILITIES)?, 6)?;
     if patterns.doc_count != corpus[0].count
         || weaknesses.doc_count != corpus[1].count
         || vulnerabilities.doc_count != corpus[2].count
@@ -240,7 +241,7 @@ pub fn open(bytes: Arc<[u8]>) -> Result<SnapshotView, SnapshotError> {
 /// As [`open`], plus [`SnapshotError::ChecksumMismatch`] naming the first
 /// corrupt section.
 pub fn open_verified(bytes: Arc<[u8]>) -> Result<SnapshotView, SnapshotError> {
-    checked_sections(&bytes)?;
+    CONTAINER.checked_sections(&bytes)?;
     open(bytes)
 }
 

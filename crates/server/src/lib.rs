@@ -18,11 +18,13 @@
 //!   *prior* and [`cpssec_analysis::AssociationMap::rebuild`] re-queries
 //!   only components whose query text actually changed.
 //!
-//! Concurrency shape: one nonblocking accept loop feeding a fixed
-//! [`pool::WorkerPool`] over `mpsc`; shared state is an `Arc<AppState>`
-//! (immutable corpus + search engines, `RwLock` session store, sharded
-//! `Mutex` caches). Responses are byte-identical to the single-threaded
-//! pipeline because both sides call the same canonical renderers.
+//! Concurrency shape: one readiness [`reactor`] thread owns every
+//! connection and hands only fully-parsed requests to a fixed
+//! [`pool::WorkerPool`]; shared state is an `Arc<AppState>` (immutable
+//! corpus + search engines, `RwLock` session store, sharded `Mutex`
+//! caches). Responses are byte-identical to the single-threaded pipeline
+//! because both sides call the same canonical renderers. The reactor
+//! needs epoll or `poll(2)`, so serving is Unix-only.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,8 +46,8 @@ pub mod session;
 pub mod signal;
 pub mod telemetry;
 
-use std::io::{self, BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -604,34 +606,8 @@ fn elapsed_us(started: Instant) -> u64 {
 }
 
 /// How long an idle keep-alive connection may sit between requests.
+#[cfg(unix)]
 const READ_TIMEOUT: Duration = Duration::from_secs(5);
-/// Accept-loop poll interval while no connection is pending. Short enough
-/// that connection setup never dominates request latency; the idle loop is
-/// still >99% asleep.
-const ACCEPT_POLL: Duration = Duration::from_millis(1);
-
-/// Which I/O engine drives the accepted sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Readiness loop: one reactor thread owns every connection's state
-    /// machine and only fully-parsed requests occupy workers. Default
-    /// on Unix.
-    Reactor,
-    /// Thread-per-connection accept loop (one worker blocks on each
-    /// connection for its whole life). Kept selectable for equivalence
-    /// testing and as the non-Unix fallback.
-    Legacy,
-}
-
-impl Backend {
-    fn default_for_target() -> Backend {
-        if cfg!(unix) {
-            Backend::Reactor
-        } else {
-            Backend::Legacy
-        }
-    }
-}
 
 /// The server: a bound listener plus shared state, not yet accepting.
 pub struct Server {
@@ -640,44 +616,24 @@ pub struct Server {
     workers: usize,
     shutdown: Arc<AtomicBool>,
     tick_ms: u64,
-    backend: Backend,
 }
 
 impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and
-    /// prepares `workers` worker threads over `state`. The backend
-    /// defaults to [`Backend::Reactor`] on Unix;
-    /// `CPSSEC_SERVE_BACKEND=legacy` forces the legacy accept loop.
+    /// prepares `workers` worker threads over `state`.
     ///
     /// # Errors
     ///
     /// Propagates bind errors.
     pub fn bind(addr: &str, workers: usize, state: Arc<AppState>) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        let backend = match std::env::var("CPSSEC_SERVE_BACKEND").as_deref() {
-            Ok("legacy") => Backend::Legacy,
-            Ok("reactor") => Backend::Reactor,
-            _ => Backend::default_for_target(),
-        };
         Ok(Server {
             listener,
             state,
             workers,
             shutdown: Arc::new(AtomicBool::new(false)),
             tick_ms: telemetry::DEFAULT_TICK_MS,
-            backend,
         })
-    }
-
-    /// Selects the serving backend (reactor or legacy accept loop).
-    pub fn set_backend(&mut self, backend: Backend) {
-        self.backend = backend;
-    }
-
-    /// The selected backend.
-    #[must_use]
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// Overrides the telemetry tick interval (default 1000 ms). Tests
@@ -717,6 +673,7 @@ impl Server {
     ///
     /// Propagates fatal listener errors (per-connection I/O errors are
     /// absorbed).
+    #[cfg(unix)]
     pub fn run(self) -> io::Result<()> {
         // Spans are cheap (atomics only) and feed the slow-query stage
         // breakdown and /metrics histograms, so serving enables them.
@@ -760,10 +717,7 @@ impl Server {
             })
             .expect("spawn tick thread");
 
-        let result = match self.backend {
-            Backend::Legacy => self.run_legacy(&pool),
-            Backend::Reactor => self.run_reactor(&pool),
-        };
+        let result = reactor::serve(&self.listener, &self.state, &pool, &self.shutdown);
         // Even on a fatal listener error the ticker must see the flag,
         // or the join below would hang.
         self.shutdown.store(true, Ordering::Relaxed);
@@ -775,32 +729,17 @@ impl Server {
         result
     }
 
-    #[cfg(unix)]
-    fn run_reactor(&self, pool: &pool::WorkerPool) -> io::Result<()> {
-        reactor::serve(&self.listener, &self.state, pool, &self.shutdown)
-    }
-
+    /// Serving needs the Unix reactor.
+    ///
+    /// # Errors
+    ///
+    /// Always [`io::ErrorKind::Unsupported`].
     #[cfg(not(unix))]
-    fn run_reactor(&self, pool: &pool::WorkerPool) -> io::Result<()> {
-        self.run_legacy(pool)
-    }
-
-    fn run_legacy(&self, pool: &pool::WorkerPool) -> io::Result<()> {
-        while !self.shutdown.load(Ordering::Relaxed) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let state = Arc::clone(&self.state);
-                    let shutdown = Arc::clone(&self.shutdown);
-                    pool.execute(move || handle_connection(stream, &state, &shutdown));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
+    pub fn run(self) -> io::Result<()> {
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "serving needs a Unix reactor (epoll or poll(2))",
+        ))
     }
 }
 
@@ -813,48 +752,10 @@ impl std::fmt::Debug for Server {
     }
 }
 
-/// Serves one connection: keep-alive request loop until the peer closes,
-/// asks to close, errors, times out, or the server begins shutdown.
-fn handle_connection(stream: TcpStream, state: &AppState, shutdown: &AtomicBool) {
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(stream);
-    let mut writer = BufWriter::new(write_half);
-
-    loop {
-        let request = match http::read_request(&mut reader) {
-            Ok(Some(request)) => request,
-            Ok(None) => return,                    // Peer closed cleanly.
-            Err(http::HttpError::Io(_)) => return, // Timeout or reset.
-            Err(http::HttpError::TooLarge) => {
-                let _ = http::Response::error(413, "request body too large")
-                    .write_to(&mut writer, true);
-                return;
-            }
-            Err(http::HttpError::Malformed(detail)) => {
-                let _ = http::Response::error(400, &detail).write_to(&mut writer, true);
-                return;
-            }
-        };
-
-        let response = process_request(state, &request);
-
-        // Close after this response if the client asked, or if the server
-        // is draining (keeps shutdown prompt under keep-alive load).
-        let close = request.wants_close() || shutdown.load(Ordering::Relaxed);
-        if response.write_to(&mut writer, close).is_err() || close {
-            return;
-        }
-    }
-}
-
 /// Runs one fully-parsed request through the router with all of its
 /// per-request bookkeeping: trace-id propagation, span capture, metrics,
-/// the slow-query log, and the request ring. Both backends call this on
-/// a worker thread (the span capture and trace id are thread-local), so
-/// reactor and legacy responses are byte-identical by construction.
+/// the slow-query log, and the request ring. The reactor calls this on a
+/// worker thread (the span capture and trace id are thread-local).
 pub(crate) fn process_request(state: &AppState, request: &http::Request) -> http::Response {
     // Honor an inbound W3C `traceparent`, else mint a fresh trace
     // id. The id rides the thread-local through every span this
@@ -870,7 +771,19 @@ pub(crate) fn process_request(state: &AppState, request: &http::Request) -> http
     let capture = cpssec_obs::Capture::begin();
     let (route, mut response) = {
         let _span = cpssec_obs::span!("serve-request");
-        router::dispatch(state, request)
+        // A panicking handler costs its own request a 500, nothing more:
+        // the bookkeeping below still runs and the worker lives on.
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            #[cfg(test)]
+            if request.path == tests::PANIC_PATH {
+                panic!("injected handler panic");
+            }
+            router::dispatch(state, request)
+        }))
+        .unwrap_or_else(|_| {
+            let route = router::route_pattern(&request.method, &request.path);
+            (route, http::Response::error(500, "internal error"))
+        })
     };
     let stages = capture.finish(cpssec_obs::recorder());
     // Clear before any pooled-thread reuse: the next request on
@@ -920,7 +833,11 @@ pub(crate) fn process_request(state: &AppState, request: &http::Request) -> http
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read as _, Write as _};
+    use std::io::{BufReader, Read as _, Write as _};
+    use std::net::TcpStream;
+
+    /// Requests to this path panic inside the handler (test builds only).
+    pub(super) const PANIC_PATH: &str = "/test/panic";
 
     fn start_server() -> (SocketAddr, Arc<AtomicBool>, std::thread::JoinHandle<()>) {
         let state = AppState::new(cpssec_attackdb::seed::seed_corpus());
@@ -977,6 +894,26 @@ mod tests {
             assert_eq!(response.status, 200);
             assert_eq!(response.body, b"ok\n");
         }
+        drop(stream);
+        flag.store(true, Ordering::Relaxed);
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_panicking_handler_is_answered_with_a_500() {
+        // The panic hook writes a flight dump; point it at tmp.
+        std::env::set_var("CPSSEC_FLIGHT_DIR", std::env::temp_dir());
+        let (addr, flag, handle) = start_server();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let request = format!("GET {PANIC_PATH} HTTP/1.1\r\n\r\n");
+        stream.write_all(request.as_bytes()).unwrap();
+        let response = load::read_response(&mut reader).unwrap();
+        assert_eq!(response.status, 500);
+        assert_eq!(response.body, br#"{"error":"internal error"}"#);
+        // The worker survived and the connection is still usable.
+        stream.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+        assert_eq!(load::read_response(&mut reader).unwrap().status, 200);
         drop(stream);
         flag.store(true, Ordering::Relaxed);
         handle.join().unwrap();

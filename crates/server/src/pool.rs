@@ -1,7 +1,7 @@
 //! A fixed worker pool over an `mpsc` channel.
 //!
-//! The accept loop hands each connection to the pool; a fixed number of
-//! worker threads drain the shared receiver. Shutdown is graceful by
+//! The reactor hands each fully-parsed request to the pool; a fixed
+//! number of worker threads drain the shared receiver. Shutdown is graceful by
 //! construction: dropping the pool drops the sender, every queued job is
 //! still delivered (an `mpsc` channel yields buffered messages before
 //! reporting disconnection), and the drop then joins all workers — so
@@ -129,7 +129,9 @@ fn worker_loop(receiver: &Mutex<Receiver<Job>>, stats: &PoolStats) {
             Ok(job) => {
                 stats.queued.fetch_sub(1, Ordering::Relaxed);
                 stats.busy.fetch_add(1, Ordering::Relaxed);
-                job();
+                // A panicking job must not take its worker (or the busy
+                // gauge) with it.
+                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
                 stats.busy.fetch_sub(1, Ordering::Relaxed);
             }
             Err(_) => return, // Sender dropped and queue fully drained.
@@ -218,5 +220,21 @@ mod tests {
         });
         drop(pool);
         assert_eq!(done.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_panicking_job_leaves_the_worker_alive_and_idle() {
+        // A server test in this process may have installed the flight
+        // recorder's panic hook; keep its dump out of the source tree.
+        std::env::set_var("CPSSEC_FLIGHT_DIR", std::env::temp_dir());
+        let stats = Arc::new(PoolStats::new());
+        let pool = WorkerPool::with_stats(1, Arc::clone(&stats));
+        pool.execute(|| panic!("injected job panic"));
+        let (tx, rx) = std::sync::mpsc::channel();
+        pool.execute(move || tx.send(()).unwrap());
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the next job runs on the same worker");
+        drop(pool);
+        assert_eq!(stats.busy(), 0);
     }
 }

@@ -1,10 +1,9 @@
 //! Readiness-driven serving core: one reactor thread owns every
 //! connection's state machine.
 //!
-//! The legacy accept loop hands each connection to a worker thread that
-//! blocks on it for the connection's whole life, capping concurrency at
-//! the pool size. The reactor inverts that: all sockets are nonblocking
-//! and registered with one [`Poller`] (epoll on Linux, `poll(2)` on
+//! A thread-per-connection server blocks a worker on each connection
+//! for its whole life, capping concurrency at the pool size. The reactor
+//! inverts that: all sockets are nonblocking and registered with one [`Poller`] (epoll on Linux, `poll(2)` on
 //! other Unixes — see the [`sys`] shim), and the single reactor thread
 //! drives every connection through `read → parse → dispatch → write`.
 //! Only fully-parsed requests cross to the worker pool, so handler code
@@ -648,9 +647,9 @@ impl Reactor<'_> {
     }
 
     /// Hands a fully-parsed request to the worker pool. The worker runs
-    /// the exact same per-request bookkeeping as the legacy path
-    /// ([`crate::process_request`]), serializes the response off the
-    /// reactor thread, and mails the bytes back.
+    /// the per-request bookkeeping ([`crate::process_request`]),
+    /// serializes the response off the reactor thread, and mails the
+    /// bytes back.
     fn dispatch(
         &mut self,
         slot: usize,
@@ -668,8 +667,8 @@ impl Reactor<'_> {
         let mailbox = Arc::clone(&self.mailbox);
         self.pool.execute(move || {
             let response = crate::process_request(&state, &request);
-            // Same close rule as the legacy loop, evaluated at the same
-            // point (after the handler ran): byte-identical headers.
+            // Close if the client asked or the server began draining,
+            // decided after the handler ran.
             let close = wants_close || shutdown.load(Ordering::Relaxed);
             let mut bytes = Vec::with_capacity(response.body.len() + 256);
             let _ = response.write_to(&mut bytes, close);
@@ -724,7 +723,7 @@ impl Reactor<'_> {
     }
 
     /// Idle-deadline sweep: drops connections quiet past
-    /// [`crate::READ_TIMEOUT`] (matching the legacy read timeout), and —
+    /// [`crate::READ_TIMEOUT`], and —
     /// once draining — drops *idle* keep-alive connections immediately
     /// so shutdown never waits on clients that are merely holding a
     /// socket open.

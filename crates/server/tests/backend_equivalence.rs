@@ -1,12 +1,12 @@
-//! The reactor backend serves byte-identical responses to the legacy
-//! thread-per-connection accept loop — across the router surface,
-//! success and error paths, keep-alive and close, under eight
-//! concurrent clients doing 200 requests each.
+//! The reactor serves the same responses as the thread-per-connection
+//! accept loop it replaced, across the router surface, success and error
+//! paths, keep-alive and close, under eight concurrent clients doing 200
+//! requests each.
 //!
-//! The only per-request bytes allowed to differ are the `X-Trace-Id`
-//! header (a fresh id is minted for every request by design) — the
-//! comparison strips it and checks everything else: status line,
-//! header set, and body.
+//! `golden/legacy_responses.txt` holds the accept loop's answer to each
+//! workload request: status, headers, body length and body FNV-1a. The
+//! only per-request header allowed to differ is `X-Trace-Id` (a fresh id
+//! is minted for every request by design), so the comparison strips it.
 
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -14,8 +14,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use cpssec_attackdb::seed::seed_corpus;
+use cpssec_model::fnv1a_64;
 use cpssec_server::load::read_response;
-use cpssec_server::{AppState, Backend, Server};
+use cpssec_server::{AppState, Server};
+
+const GOLDEN: &str = include_str!("golden/legacy_responses.txt");
 
 struct TestServer {
     addr: SocketAddr,
@@ -24,10 +27,9 @@ struct TestServer {
 }
 
 impl TestServer {
-    fn start(backend: Backend, workers: usize) -> TestServer {
+    fn start(workers: usize) -> TestServer {
         let state = AppState::new(seed_corpus());
-        let mut server = Server::bind("127.0.0.1:0", workers, state).expect("bind");
-        server.set_backend(backend);
+        let server = Server::bind("127.0.0.1:0", workers, state).expect("bind");
         let addr = server.local_addr().expect("addr");
         let flag = server.shutdown_flag();
         let handle = std::thread::spawn(move || server.run().expect("serve"));
@@ -48,24 +50,14 @@ impl Drop for TestServer {
     }
 }
 
-/// A response with the per-request trace id stripped: everything that
-/// must match between backends, byte for byte.
-#[derive(Debug, PartialEq, Eq)]
-struct Comparable {
-    status: u16,
-    headers: Vec<(String, String)>,
-    body: Vec<u8>,
-}
-
-fn comparable(status: u16, headers: Vec<(String, String)>, body: Vec<u8>) -> Comparable {
-    Comparable {
-        status,
-        headers: headers
-            .into_iter()
-            .filter(|(name, _)| name != "x-trace-id")
-            .collect(),
-        body,
+/// A response in the golden file's line format, trace id stripped:
+/// index, status, body length, body FNV-1a, then the headers.
+fn comparable(index: usize, status: u16, headers: &[(String, String)], body: &[u8]) -> String {
+    let mut line = format!("{index}\t{status}\t{}\t{:016x}", body.len(), fnv1a_64(body));
+    for (name, value) in headers.iter().filter(|(name, _)| name != "x-trace-id") {
+        line.push_str(&format!("\t{name}: {value}"));
     }
+    line
 }
 
 const WHATIF_BODY: &str = r#"{"changes":[{"op":"replace","component":"Programming WS","key":"os","kind":"os","value":"hardened thin client image","atFidelity":"implementation"},{"op":"remove","component":"Programming WS","key":"software","value":"Labview"}]}"#;
@@ -73,7 +65,7 @@ const WHATIF_BODY: &str = r#"{"changes":[{"op":"replace","component":"Programmin
 /// The mixed workload: every deterministic route family, plus error
 /// paths (404/400/405/413-free — body-size limits are covered in unit
 /// tests). `/metrics` is deliberately absent: its counters depend on
-/// request interleaving, not on the serving backend.
+/// request interleaving.
 fn workload() -> Vec<Vec<u8>> {
     let get = |target: &str| format!("GET {target} HTTP/1.1\r\n\r\n").into_bytes();
     let post = |target: &str, body: &str| {
@@ -101,23 +93,28 @@ fn workload() -> Vec<Vec<u8>> {
 
 /// Runs `count` keep-alive requests (cycling the workload, offset by
 /// `lane`) over one connection and returns the comparable responses.
-fn run_lane(addr: SocketAddr, lane: usize, count: usize) -> Vec<Comparable> {
+fn run_lane(addr: SocketAddr, lane: usize, count: usize) -> Vec<String> {
     let requests = workload();
     let mut stream = TcpStream::connect(addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut out = Vec::with_capacity(count);
     for round in 0..count {
-        let request = &requests[(lane + round) % requests.len()];
-        stream.write_all(request).expect("send");
+        let index = (lane + round) % requests.len();
+        stream.write_all(&requests[index]).expect("send");
         let response = read_response(&mut reader).expect("response");
-        out.push(comparable(response.status, response.headers, response.body));
+        out.push(comparable(
+            index,
+            response.status,
+            &response.headers,
+            &response.body,
+        ));
     }
     out
 }
 
-/// The full 8×200 mixed workload against one backend.
-fn collect(backend: Backend) -> Vec<Vec<Comparable>> {
-    let server = TestServer::start(backend, 4);
+/// The full 8×200 mixed workload.
+fn collect() -> Vec<Vec<String>> {
+    let server = TestServer::start(4);
     std::thread::scope(|scope| {
         let lanes: Vec<_> = (0..8)
             .map(|lane| scope.spawn(move || run_lane(server.addr, lane, 200)))
@@ -128,15 +125,21 @@ fn collect(backend: Backend) -> Vec<Vec<Comparable>> {
 
 #[test]
 fn reactor_matches_legacy_across_the_router_surface() {
-    let legacy = collect(Backend::Legacy);
-    let reactor = collect(Backend::Reactor);
-    assert_eq!(legacy.len(), reactor.len());
-    for (lane, (l, r)) in legacy.iter().zip(&reactor).enumerate() {
-        assert_eq!(l.len(), r.len(), "lane {lane} response count");
-        for (round, (lr, rr)) in l.iter().zip(r).enumerate() {
+    let golden: Vec<&str> = GOLDEN.lines().filter(|l| !l.starts_with('#')).collect();
+    assert_eq!(
+        golden.len(),
+        workload().len(),
+        "one golden line per request"
+    );
+    let lanes = collect();
+    assert_eq!(lanes.len(), 8);
+    for (lane, responses) in lanes.iter().enumerate() {
+        assert_eq!(responses.len(), 200, "lane {lane} response count");
+        for (round, response) in responses.iter().enumerate() {
+            let expected = golden[(lane + round) % golden.len()];
             assert_eq!(
-                lr, rr,
-                "lane {lane} round {round}: reactor and legacy responses diverge"
+                response, expected,
+                "lane {lane} round {round}: the reactor diverges from the recorded accept loop"
             );
         }
     }
@@ -144,24 +147,24 @@ fn reactor_matches_legacy_across_the_router_surface() {
 
 #[test]
 fn connection_close_is_honored_identically() {
-    // `Connection: close` must terminate the exchange on both backends
-    // with the same response bytes and an actual close.
-    for backend in [Backend::Legacy, Backend::Reactor] {
-        let server = TestServer::start(backend, 2);
-        let mut stream = TcpStream::connect(server.addr).expect("connect");
-        stream
-            .write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
-            .expect("send");
-        let mut reader = BufReader::new(stream);
-        let response = read_response(&mut reader).expect("response");
-        assert_eq!(response.status, 200, "{backend:?}");
-        assert_eq!(
-            response.header("connection"),
-            Some("close"),
-            "{backend:?} must announce the close"
-        );
-        // EOF follows: the server, not the client, closes.
-        let eof = read_response(&mut reader);
-        assert!(eof.is_err(), "{backend:?} left the connection open");
-    }
+    // `Connection: close` must terminate the exchange with the close
+    // announced and an actual close, as the accept loop did.
+    let server = TestServer::start(2);
+    let mut stream = TcpStream::connect(server.addr).expect("connect");
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+        .expect("send");
+    let mut reader = BufReader::new(stream);
+    let response = read_response(&mut reader).expect("response");
+    assert_eq!(response.status, 200);
+    assert_eq!(
+        response.header("connection"),
+        Some("close"),
+        "the close is announced"
+    );
+    // EOF follows: the server, not the client, closes.
+    assert!(
+        read_response(&mut reader).is_err(),
+        "the connection stayed open"
+    );
 }

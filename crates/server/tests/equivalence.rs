@@ -256,6 +256,32 @@ fn error_paths_speak_json() {
 }
 
 #[test]
+fn deep_json_is_a_400_and_the_server_stays_up() {
+    // The JSON parser recurses once per nesting level; without its depth
+    // limit this body overflowed a worker's stack and aborted the server.
+    let server = TestServer::start(2);
+    let deep = "[".repeat(200 * 1024);
+    for target in [
+        "/models/scada/whatif",
+        "/models/scada/campaigns",
+        "/scenarios/batch",
+    ] {
+        let (status, body) = server.post(target, &deep);
+        assert_eq!(status, 400, "{target}");
+        let body = String::from_utf8(body).unwrap();
+        assert!(
+            body.starts_with("{\"error\":") && body.contains("nesting deeper"),
+            "{body}"
+        );
+        assert_eq!(
+            server.get("/healthz"),
+            (200, b"ok\n".to_vec()),
+            "after {target}"
+        );
+    }
+}
+
+#[test]
 fn metrics_report_traffic_and_cache_hits() {
     let server = TestServer::start(2);
     for _ in 0..3 {
